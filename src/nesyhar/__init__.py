@@ -8,15 +8,6 @@ penalties on the loss, consistency vectors as extra network inputs, and
 post-hoc refinement of the output distribution.
 """
 
-import os as _os
-
-# NESYHAR_THREADS > 1 runs experiment cells in parallel worker processes; pin
-# BLAS to one thread then (must happen before numpy loads BLAS) so the workers
-# do not oversubscribe the machine.
-if int(_os.environ.get("NESYHAR_THREADS", "1")) > 1:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, "1")
-
 from .context import DiscretizationConfig, RawContextRecord, aggregate_context
 from .data import (
     Annotation,

@@ -77,6 +77,10 @@ def cmd_run(args) -> int:
     from .knowledge import load_knowledge
 
     started = time.monotonic()
+    threads = os.environ.get("NESYHAR_THREADS", "1")
+    workers = int(threads) if threads.strip().isdecimal() else 0
+    if workers < 1:
+        raise UsageError(f"NESYHAR_THREADS must be a positive integer, got {threads!r}")
     cfg = load_config(args.config)
     model = load_knowledge(cfg.rules)
     if cfg.synthetic is not None:
@@ -91,7 +95,6 @@ def cmd_run(args) -> int:
         phone_channels=first.phone.shape[1], phone_length=first.phone.shape[2],
         watch_channels=first.watch.shape[1], watch_length=first.watch.shape[2],
         context_size=first.context.shape[1], classes=len(first.activities))
-    workers = int(os.environ.get("NESYHAR_THREADS", "1"))
     report = run_experiment(
         encoded, cfg.strategies, cfg.fractions, cfg.repetitions, cfg.fold_k,
         cfg.seeds, spec, knowledge=model, train_cfg=cfg.training,

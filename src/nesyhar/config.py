@@ -6,7 +6,7 @@ together before aborting, so a config can be fixed in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -85,18 +85,10 @@ _TOP_LEVEL_KEYS = {
     "training", "discretization",
 }
 
-_SYNTHETIC_KEYS = {
-    "users", "windows_per_user", "violation_rate", "noise", "seed", "window_seconds",
-    "phone_channels", "watch_channels", "phone_rate", "watch_rate", "confusability",
-    "unobserved_bias",
-}
-
-_NETWORK_KEYS = {
-    "phone_filters", "phone_kernels", "watch_filters", "watch_kernels", "pool",
-    "branch_dense", "context_dense", "trunk_dense", "dropout",
-}
-
-_TRAINING_KEYS = {"epochs", "batch_size", "patience", "learning_rate"}
+_SYNTHETIC_KEYS = {f.name for f in fields(SyntheticConfig)}
+_NETWORK_KEYS = {f.name for f in fields(NetworkConfig)}
+# val_metric is a callable hook, not something a YAML file can set
+_TRAINING_KEYS = {f.name for f in fields(TrainConfig)} - {"val_metric"}
 
 
 def _parse_strategies(raw: Any, errors: list[str]) -> list[StrategyConfig]:

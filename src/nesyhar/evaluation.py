@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -262,6 +263,31 @@ def _run_fold_job(job: _FoldJob) -> list[ExperimentCell]:
     return cells
 
 
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _map_in_workers(fn, jobs: list, workers: int) -> list:
+    """Map fn over jobs in `workers` spawned processes, each with BLAS pinned to
+    one thread so they do not oversubscribe the machine. Forked workers would
+    inherit the BLAS thread count this process set up when numpy loaded;
+    spawned ones load BLAS anew under the thread variables set here."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as executor:
+            return list(executor.map(fn, jobs))
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
                    strategies: Sequence[StrategyConfig],
                    fractions: Sequence[float],
@@ -318,9 +344,7 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
                 window_seconds=window_seconds, discretization=discretization))
 
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_run_fold_job, jobs))
+        results = _map_in_workers(_run_fold_job, jobs, workers)
     else:
         results = [_run_fold_job(job) for job in jobs]
 

@@ -1,7 +1,7 @@
 """Training losses: cross-entropy, five knowledge-consistency penalties, and
 their weighted combination.
 
-Every function takes the classifier's output probability distribution P (not
+Every loss takes the classifier's output probability distribution P (not
 logits) together with the binary consistency mask over activities, and returns
 the loss value plus its gradient with respect to P. The consistency penalties
 come in five flavours:
@@ -20,6 +20,11 @@ come in five flavours:
 
 The argmax is treated as locally constant when differentiating, and argmax
 ties break to the lowest index. All five penalties take values in [0, 1].
+
+Each loss is defined once, over a batch: ``_cross_entropy`` and the
+``PENALTIES`` table give per-row values and (n, k) gradients, which
+``combined_loss_batch`` sums; ``cross_entropy``, the ``semantic_*`` functions
+and ``combined_loss`` apply them to a batch of one distribution.
 """
 
 from __future__ import annotations
@@ -62,81 +67,109 @@ class LossConfig:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
 
 
-def _as_mask(consistent, k: int) -> np.ndarray:
+def _as_mask(consistent, shape: tuple[int, ...]) -> np.ndarray:
     mask = np.asarray(consistent, dtype=bool)
-    if mask.shape != (k,):
-        raise ValueError(f"consistency mask has shape {mask.shape}, expected ({k},)")
+    if mask.shape != shape:
+        raise ValueError(f"consistency mask has shape {mask.shape}, expected {shape}")
     return mask
+
+
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row negative log-probability of the true activity, with a 1e-12 floor."""
+    n, k = probs.shape
+    out_of_range = (labels < 0) | (labels >= k)
+    if out_of_range.any():
+        raise IndexError(f"label {labels[out_of_range][0]} out of range for {k} activities")
+    rows = np.arange(n)
+    p_true = probs[rows, labels] + PROB_FLOOR
+    grad = np.zeros_like(probs)
+    grad[rows, labels] = -1.0 / p_true
+    return -np.log(p_true), grad
+
+
+def _penalty_all(probs: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return 1.0 - np.where(mask, probs, 0.0).sum(axis=1), np.where(mask, -1.0, 0.0)
+
+
+def _argmax_penalty(if_consistent: tuple[float, float], if_not: tuple[float, float]):
+    """A penalty on p_max that is ``constant + slope * p_max`` on each branch;
+    each branch is given as (constant, slope)."""
+
+    def penalty(probs: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.arange(probs.shape[0])
+        top = probs.argmax(axis=1)  # ties break toward the lowest index
+        top_ok = mask[rows, top]
+        slope = np.where(top_ok, if_consistent[1], if_not[1])
+        grad = np.zeros_like(probs)
+        grad[rows, top] = slope
+        return np.where(top_ok, if_consistent[0], if_not[0]) + slope * probs[rows, top], grad
+
+    return penalty
+
+
+PENALTIES = {
+    "All": _penalty_all,
+    "-PP": _argmax_penalty((1.0, -1.0), (0.0, 1.0)),
+    "01": _argmax_penalty((0.0, 0.0), (1.0, 0.0)),
+    "-P1": _argmax_penalty((1.0, -1.0), (1.0, 0.0)),
+    "0P": _argmax_penalty((0.0, 0.0), (0.0, 1.0)),
+}
+
+
+def combined_loss_batch(probs: np.ndarray, labels: np.ndarray, consistent,
+                        cfg: LossConfig) -> tuple[float, np.ndarray]:
+    """Vectorized combined loss over a batch; the batch value is the mean.
+
+    probs is (n, k), labels (n,), consistent (n, k) or None when unused.
+    Returns the mean loss and its gradient with respect to probs (already
+    divided by the batch size).
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    n, k = probs.shape
+    ce, grad = _cross_entropy(probs, np.asarray(labels))
+    value = ce.sum()
+    if cfg.semantic_type != "none" and cfg.alpha > 0.0:
+        penalty, penalty_grad = PENALTIES[cfg.semantic_type](probs, _as_mask(consistent, (n, k)))
+        value += cfg.alpha * penalty.sum()
+        grad += cfg.alpha * penalty_grad
+    return float(value) / n, grad / n
 
 
 def cross_entropy(probs: np.ndarray, label: int) -> tuple[float, np.ndarray]:
     """Negative log-probability of the true activity, with a 1e-12 floor."""
+    value, grad = _cross_entropy(np.asarray(probs, dtype=np.float64)[None], np.array([label]))
+    return float(value[0]), grad[0]
+
+
+def _penalty_of_one(kind: str, probs, consistent) -> tuple[float, np.ndarray]:
     probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < probs.shape[0]:
-        raise IndexError(f"label {label} out of range for {probs.shape[0]} activities")
-    value = -np.log(probs[label] + PROB_FLOOR)
-    grad = np.zeros_like(probs)
-    grad[label] = -1.0 / (probs[label] + PROB_FLOOR)
-    return float(value), grad
+    value, grad = PENALTIES[kind](probs[None], _as_mask(consistent, probs.shape)[None])
+    return float(value[0]), grad[0]
 
 
-def semantic_all(probs: np.ndarray, consistent) -> tuple[float, np.ndarray]:
+def semantic_all(probs, consistent) -> tuple[float, np.ndarray]:
     """1 minus the probability mass assigned to context-consistent activities."""
-    probs = np.asarray(probs, dtype=np.float64)
-    mask = _as_mask(consistent, probs.shape[0])
-    value = 1.0 - probs[mask].sum()
-    grad = np.where(mask, -1.0, 0.0)
-    return float(value), grad
-
-
-def _top(probs: np.ndarray) -> int:
-    # np.argmax already breaks ties toward the lowest index.
-    return int(np.argmax(probs))
+    return _penalty_of_one("All", probs, consistent)
 
 
 def semantic_minusprob_prob(probs, consistent) -> tuple[float, np.ndarray]:
     """1 - p_max if the top activity is consistent, else p_max."""
-    probs = np.asarray(probs, dtype=np.float64)
-    mask = _as_mask(consistent, probs.shape[0])
-    top = _top(probs)
-    grad = np.zeros_like(probs)
-    if mask[top]:
-        grad[top] = -1.0
-        return float(1.0 - probs[top]), grad
-    grad[top] = 1.0
-    return float(probs[top]), grad
+    return _penalty_of_one("-PP", probs, consistent)
 
 
 def semantic_zero_one(probs, consistent) -> tuple[float, np.ndarray]:
     """0 if the top activity is consistent, else 1; gradient identically zero."""
-    probs = np.asarray(probs, dtype=np.float64)
-    mask = _as_mask(consistent, probs.shape[0])
-    value = 0.0 if mask[_top(probs)] else 1.0
-    return value, np.zeros_like(probs)
+    return _penalty_of_one("01", probs, consistent)
 
 
 def semantic_minusprob_one(probs, consistent) -> tuple[float, np.ndarray]:
     """1 - p_max if the top activity is consistent, else a flat 1."""
-    probs = np.asarray(probs, dtype=np.float64)
-    mask = _as_mask(consistent, probs.shape[0])
-    top = _top(probs)
-    grad = np.zeros_like(probs)
-    if mask[top]:
-        grad[top] = -1.0
-        return float(1.0 - probs[top]), grad
-    return 1.0, grad
+    return _penalty_of_one("-P1", probs, consistent)
 
 
 def semantic_zero_prob(probs, consistent) -> tuple[float, np.ndarray]:
     """0 if the top activity is consistent, else p_max."""
-    probs = np.asarray(probs, dtype=np.float64)
-    mask = _as_mask(consistent, probs.shape[0])
-    top = _top(probs)
-    grad = np.zeros_like(probs)
-    if mask[top]:
-        return 0.0, grad
-    grad[top] = 1.0
-    return float(probs[top]), grad
+    return _penalty_of_one("0P", probs, consistent)
 
 
 SEMANTIC_FUNCTIONS = {
@@ -154,53 +187,7 @@ def combined_loss(probs, label: int, consistent, cfg: LossConfig) -> tuple[float
     With ``semantic_type="none"`` (or alpha 0) this reduces exactly to
     cross-entropy and the consistency mask may be None.
     """
-    value, grad = cross_entropy(probs, label)
-    if cfg.semantic_type == "none" or cfg.alpha == 0.0:
-        return value, grad
-    sem_value, sem_grad = SEMANTIC_FUNCTIONS[cfg.semantic_type](probs, consistent)
-    return value + cfg.alpha * sem_value, grad + cfg.alpha * sem_grad
-
-
-def combined_loss_batch(probs: np.ndarray, labels: np.ndarray, consistent,
-                        cfg: LossConfig) -> tuple[float, np.ndarray]:
-    """Vectorized combined loss over a batch; the batch value is the mean.
-
-    probs is (n, k), labels (n,), consistent (n, k) or None when unused.
-    Returns the mean loss and its gradient with respect to probs (already
-    divided by the batch size).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    n, k = probs.shape
-    labels = np.asarray(labels)
-    rows = np.arange(n)
-
-    p_true = probs[rows, labels] + PROB_FLOOR
-    value = -np.log(p_true).sum()
-    grad = np.zeros_like(probs)
-    grad[rows, labels] = -1.0 / p_true
-
-    if cfg.semantic_type != "none" and cfg.alpha > 0.0:
-        mask = np.asarray(consistent, dtype=bool)
-        if mask.shape != (n, k):
-            raise ValueError(f"consistency mask has shape {mask.shape}, expected {(n, k)}")
-        kind = cfg.semantic_type
-        if kind == "All":
-            value += cfg.alpha * (1.0 - np.where(mask, probs, 0.0).sum(axis=1)).sum()
-            grad += cfg.alpha * np.where(mask, -1.0, 0.0)
-        else:
-            top = probs.argmax(axis=1)
-            top_ok = mask[rows, top]
-            p_top = probs[rows, top]
-            if kind == "-PP":
-                value += cfg.alpha * np.where(top_ok, 1.0 - p_top, p_top).sum()
-                grad[rows, top] += cfg.alpha * np.where(top_ok, -1.0, 1.0)
-            elif kind == "01":
-                value += cfg.alpha * np.where(top_ok, 0.0, 1.0).sum()
-            elif kind == "-P1":
-                value += cfg.alpha * np.where(top_ok, 1.0 - p_top, 1.0).sum()
-                grad[rows, top] += cfg.alpha * np.where(top_ok, -1.0, 0.0)
-            elif kind == "0P":
-                value += cfg.alpha * np.where(top_ok, 0.0, p_top).sum()
-                grad[rows, top] += cfg.alpha * np.where(top_ok, 0.0, 1.0)
-
-    return float(value) / n, grad / n
+    if consistent is not None:
+        consistent = np.asarray(consistent)[None]
+    value, grad = combined_loss_batch(np.asarray(probs)[None], np.array([label]), consistent, cfg)
+    return value, grad[0]

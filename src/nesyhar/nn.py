@@ -628,12 +628,11 @@ def run_gradient_check_suite(seed: int = 0, trials: int = 20,
     Trials alternate between a linear head and the combined loss with each
     consistency penalty; a few trials enable dropout with a pinned mask.
     """
-    from .losses import LossConfig
+    from .losses import SEMANTIC_TYPES, LossConfig
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    semantic_cycle = ["none", "All", "-PP", "01", "-P1", "0P"]
     results = []
     for trial in range(trials):
         spec = random_small_spec(rng)
@@ -645,7 +644,7 @@ def run_gradient_check_suite(seed: int = 0, trials: int = 20,
             loss_cfg = None
             label = "linear"
         else:
-            kind = semantic_cycle[(trial // 2) % len(semantic_cycle)]
+            kind = SEMANTIC_TYPES[(trial // 2) % len(SEMANTIC_TYPES)]
             loss_cfg = LossConfig(kind, 0.0 if kind == "none" else 2.0)
             label = f"loss:{kind}"
         err = gradient_check_network(spec, seed=int(rng.integers(1 << 30)),

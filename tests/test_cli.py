@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +104,24 @@ def test_run_quick_config(tmp_path, capsys):
     assert (out_dir / "cells.csv").is_file()
     assert (out_dir / "summary.csv").is_file()
     assert (out_dir / "summary.txt").is_file()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1", "1.5", ""])
+def test_run_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("NESYHAR_THREADS", threads)
+    rc = main(["run", "--config", str(write_config(tmp_path))])
+    assert rc == 2
+    assert "NESYHAR_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_import_ignores_bad_thread_count():
+    env = dict(os.environ, NESYHAR_THREADS="abc",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path("src").resolve()),
+                                                        os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", "import nesyhar"], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_run_missing_rules_file_is_config_error(tmp_path, capsys):

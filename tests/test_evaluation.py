@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,31 @@ def test_run_experiment_deterministic(tiny_model, tiny_net_spec, encoded_by_user
     assert a.rep_scores == b.rep_scores
     for ca, cb in zip(a.cells, b.cells):
         np.testing.assert_array_equal(ca.confusion, cb.confusion)
+
+
+def test_run_experiment_independent_of_worker_count(tiny_model, tiny_net_spec, encoded_by_user):
+    strategies = [StrategyConfig("baseline"),
+                  StrategyConfig("semantic_loss", LossConfig("All", 2.0))]
+    kwargs = dict(encoded_by_user=encoded_by_user, strategies=strategies,
+                  fractions=[1.0], repetitions=2, fold_k=1, seeds=[1, 2],
+                  spec=tiny_net_spec, knowledge=tiny_model, train_cfg=FAST)
+    sequential = run_experiment(workers=1, **kwargs)
+    parallel = run_experiment(workers=2, **kwargs)
+    assert parallel.rep_scores == sequential.rep_scores
+    assert len(parallel.cells) == len(sequential.cells)
+    for a, b in zip(sequential.cells, parallel.cells):
+        assert (a.strategy, a.fraction, a.repetition, a.fold, a.error) == \
+               (b.strategy, b.fraction, b.repetition, b.fold, b.error)
+        np.testing.assert_array_equal(a.confusion, b.confusion)
+
+
+def test_workers_run_with_one_blas_thread(monkeypatch):
+    from nesyhar.evaluation import _BLAS_THREAD_VARS, _map_in_workers
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert _map_in_workers(os.getenv, list(_BLAS_THREAD_VARS), 2) == ["1", "1", "1"]
+    assert os.environ["OMP_NUM_THREADS"] == "4"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_run_experiment_confusion_totals_match_test_windows(

@@ -210,15 +210,53 @@ def test_combined_loss_strictly_increasing_in_alpha(seed):
 
 
 def test_batch_matches_per_sample():
+    # The scalar functions are views of the batch code, so the batch is checked
+    # row by row against the independent ORACLES (plus cross-entropy by hand);
+    # gradients against central differences of the same hand-written rows.
     rng = np.random.default_rng(5)
+    h = 1e-6
     for kind in ("none", "All", "-PP", "01", "-P1", "0P"):
         cfg = LossConfig(kind, 0.0 if kind == "none" else 2.5)
         n, k = 17, 6
-        probs = rng.random((n, k))
-        probs /= probs.sum(axis=1, keepdims=True)
+        pairs = [random_pair(rng, k=k, margin=1e-3) for _ in range(n)]
+        probs = np.stack([p for p, _ in pairs])
+        masks = np.stack([m for _, m in pairs])
         labels = rng.integers(0, k, size=n)
-        masks = rng.integers(0, 2, size=(n, k)).astype(bool)
+
+        def by_hand(p, label, m):
+            penalty = 0.0 if kind == "none" else cfg.alpha * ORACLES[kind](p, m)
+            return -math.log(p[label] + 1e-12) + penalty
+
         value, grad = combined_loss_batch(probs, labels, masks, cfg)
-        per = [combined_loss(probs[i], int(labels[i]), masks[i], cfg) for i in range(n)]
-        assert value == pytest.approx(np.mean([v for v, _ in per]), abs=1e-12)
-        np.testing.assert_allclose(grad, np.stack([g for _, g in per]) / n, atol=1e-14)
+        rows = [by_hand(probs[i], labels[i], masks[i]) for i in range(n)]
+        assert value == pytest.approx(np.mean(rows), abs=1e-12)
+        for i in range(n):
+            fd = np.zeros(k)
+            for j in range(k):
+                dp = np.zeros(k)
+                dp[j] = h
+                fd[j] = (by_hand(probs[i] + dp, labels[i], masks[i])
+                         - by_hand(probs[i] - dp, labels[i], masks[i])) / (2 * h)
+            np.testing.assert_allclose(grad[i] * n, fd, rtol=1e-5, atol=1e-6)
+
+
+def test_labels_outside_activity_range_raise():
+    p = np.array([[0.7, 0.2, 0.1]])
+    for label in (-1, 3):
+        with pytest.raises(IndexError):
+            combined_loss_batch(p, np.array([label]), None, LossConfig())
+        with pytest.raises(IndexError):
+            combined_loss_batch(p, np.array([label]), np.ones((1, 3)), LossConfig("All", 1.0))
+        with pytest.raises(IndexError):
+            cross_entropy(p[0], label)
+
+
+def test_wrongly_shaped_mask_raises():
+    p = np.array([0.7, 0.2, 0.1])
+    for fn in SEMANTIC_FUNCTIONS.values():
+        with pytest.raises(ValueError):
+            fn(p, np.ones(2, dtype=bool))
+    with pytest.raises(ValueError):
+        combined_loss(p, 0, np.ones(2, dtype=bool), LossConfig("All", 1.0))
+    with pytest.raises(ValueError):
+        combined_loss_batch(p[None], [0], np.ones(3, dtype=bool), LossConfig("-PP", 1.0))
