@@ -54,8 +54,8 @@ strategies = [
 for strategy in strategies:
     trained = train(train_part, val_part, strategy, spec, seed=3,
                     knowledge=None if strategy.kind == "baseline" else model, cfg=cfg)
-    needs_k = strategy.kind in ("symbolic_features", "context_refinement")
-    preds, _, _ = predict_many(trained, test, model if needs_k else None)
+    knowledge = model if strategy.needs_knowledge_for_inference else None
+    preds, _, _ = predict_many(trained, test, knowledge)
     accuracy = float(np.mean(preds == test.labels))
     print(f"{strategy.label:<28} accuracy {accuracy:.3f} "
           f"(stopped after {trained.meta['epochs_run']} epochs)")

@@ -23,7 +23,6 @@ from .data import (
     encode_windows,
     generate_synthetic,
     load_dataset,
-    map_and_clean_extrasensory,
     segment,
     write_dataset,
 )
@@ -38,7 +37,6 @@ from .evaluation import (
     write_report,
 )
 from .knowledge import (
-    Activity,
     ContextPredicate,
     ContextState,
     ContextVocabulary,

@@ -131,17 +131,16 @@ def cmd_gradcheck(args) -> int:
 def cmd_classify(args) -> int:
     from .data import encode_windows, load_dataset, segment
     from .knowledge import load_knowledge
-    from .strategies import load_model, predict_many
+    from .strategies import REASONING_KINDS, load_model, predict_many
 
     model = load_model(args.model)
     knowledge = None
-    needs_rules = model.kind in ("symbolic_features", "context_refinement")
     if args.rules:
         knowledge = load_knowledge(args.rules)
-        if (tuple(knowledge.activity_names) != model.activities
+        if (knowledge.activity_names != model.activities
                 or knowledge.vocabulary != model.vocabulary):
             raise UsageError("rule file vocabularies do not match the checkpoint")
-    elif needs_rules:
+    elif model.kind in REASONING_KINDS:
         raise UsageError(f"{model.kind!r} checkpoints need --rules at inference")
 
     if model.window_seconds is None or model.discretization is None:

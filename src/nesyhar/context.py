@@ -66,7 +66,6 @@ class RawContextRecord:
     semantic_place: str | None = None
     transport_route_nearby: bool | None = None
     weather: str | None = None
-    extras: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

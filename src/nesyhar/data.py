@@ -1,4 +1,4 @@
-"""Dataset model, windowing, encoding, label cleaning, and a synthetic generator.
+"""Dataset model, windowing, encoding, and a synthetic generator.
 
 Per-user raw data consists of two inertial streams (phone and watch), a list of
 raw context records, and activity annotations. :func:`segment` cuts the streams
@@ -20,8 +20,7 @@ Dataset directory layout (written by the generator, read by the loader)::
     <dir>/watch_<user>.csv
 
 Every file starts with a versioned comment header (e.g. ``# nesyhar
-annotations v1``); the loader rejects unknown versions. In-memory ``extras``
-of context records are not persisted.
+annotations v1``); the loader rejects unknown versions.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .context import (
     RawContextRecord,
     SEMANTIC_PLACE,
     SPEED,
-    SPEED_CLASSES,
     TRANSPORT_ROUTE,
     WEATHER,
     aggregate_context,
@@ -63,10 +61,6 @@ __all__ = [
     "encode",
     "encode_windows",
     "encode_user_datasets",
-    "MultiLabelRecord",
-    "CleanRecord",
-    "EXTRASENSORY_ACTIVITIES",
-    "map_and_clean_extrasensory",
     "SyntheticConfig",
     "enumerate_realizable_states",
     "generate_synthetic",
@@ -100,11 +94,16 @@ class SensorStream:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.rate <= 0:
-            raise ValueError("sampling rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"sampling rate must be positive and finite, got {self.rate}")
         if self.values.ndim != 2 or self.values.shape[0] != len(self.channels):
             raise ValueError(f"stream values have shape {self.values.shape}, expected "
                              f"({len(self.channels)}, n)")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            channel, sample = np.argwhere(~finite)[0]
+            raise ValueError(f"stream channel {self.channels[channel]!r} has a non-finite "
+                             f"value at sample {sample}")
 
     @property
     def duration(self) -> float:
@@ -276,100 +275,6 @@ def encode_user_datasets(datasets: Sequence[UserDataset], model: KnowledgeModel,
         else:
             log.warning("user %s produced no usable windows", ds.user)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Multi-label mapping and cleaning (in-the-wild recordings)
-# ---------------------------------------------------------------------------
-
-EXTRASENSORY_ACTIVITIES = ("bicycling", "lying_down", "moving_by_car", "on_transport",
-                           "sitting", "standing", "walking")
-
-_CAR_LABELS = frozenset({"in_a_car", "car_driver", "car_passenger"})
-_STATIC_ACTIVITIES = frozenset({"lying_down", "sitting", "standing"})
-_ALLOWED_PHONE_POSITIONS = frozenset({"pocket", "hand"})
-
-
-@dataclass(frozen=True)
-class MultiLabelRecord:
-    """An in-the-wild sample with its original self-reported label set."""
-
-    labels: frozenset[str]
-    speed: float | None = None
-    phone_position: str | None = None
-    payload: object = None
-
-
-@dataclass(frozen=True)
-class CleanRecord:
-    """A surviving sample with a single target activity; payload untouched."""
-
-    label: str
-    payload: object = None
-
-
-def _map_labels(labels: frozenset[str]) -> set[str]:
-    targets = set()
-    car = bool(labels & _CAR_LABELS)
-    bus = "on_a_bus" in labels
-    if labels & {"walking", "strolling"}:
-        targets.add("walking")
-    if "bicycling" in labels:
-        targets.add("bicycling")
-    if "lying_down" in labels:
-        targets.add("lying_down")
-    if car:
-        # car labels dominate coupled sitting/standing
-        targets.add("moving_by_car")
-    if bus and labels & {"sitting", "standing"}:
-        targets.add("on_transport")
-    if "sitting" in labels and not car and not bus:
-        targets.add("sitting")
-    if "standing" in labels and not car and not bus:
-        targets.add("standing")
-    return targets
-
-
-def map_and_clean_extrasensory(
-        records: Iterable[MultiLabelRecord]) -> tuple[list[CleanRecord], dict[str, int]]:
-    """Map original multi-label sets onto the seven target activities and drop
-    unreliable records.
-
-    Drop rules, applied in order and counted separately:
-
-    - ``phone_position``: the phone position is reported and is neither pocket
-      nor hand.
-    - ``car_at_home``: simultaneously labeled in a car and at home.
-    - ``no_target``: no target activity can be derived from the labels.
-    - ``ambiguous``: more than one target activity would result.
-    - ``static_with_speed``: a static activity (lying down, sitting, standing)
-      with a positive observed speed.
-
-    Sensor payloads of surviving records are passed through untouched.
-    """
-    kept: list[CleanRecord] = []
-    drops = {"phone_position": 0, "car_at_home": 0, "no_target": 0,
-             "ambiguous": 0, "static_with_speed": 0}
-    for rec in records:
-        if rec.phone_position is not None and rec.phone_position not in _ALLOWED_PHONE_POSITIONS:
-            drops["phone_position"] += 1
-            continue
-        if "in_a_car" in rec.labels and "at_home" in rec.labels:
-            drops["car_at_home"] += 1
-            continue
-        targets = _map_labels(rec.labels)
-        if not targets:
-            drops["no_target"] += 1
-            continue
-        if len(targets) > 1:
-            drops["ambiguous"] += 1
-            continue
-        (label,) = targets
-        if label in _STATIC_ACTIVITIES and rec.speed is not None and rec.speed > 0:
-            drops["static_with_speed"] += 1
-            continue
-        kept.append(CleanRecord(label=label, payload=rec.payload))
-    return kept, drops
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +661,11 @@ def load_dataset(directory: str | Path) -> list[UserDataset]:
             columns = next(reader)
             channels = tuple(columns[1:])
             values = [[float(v) for v in row[1:]] for row in reader]
-        return SensorStream(rate, channels, np.array(values).T
-                            if values else np.empty((len(channels), 0)))
+        try:
+            return SensorStream(rate, channels, np.array(values).T
+                                if values else np.empty((len(channels), 0)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     users = sorted(p.name[len("phone_"):-len(".csv")]
                    for p in directory.glob("phone_*.csv"))

@@ -8,9 +8,9 @@ mean +- 1.96 * s / sqrt(n)).
 
 Conventions, stated once: confusion rows are true activities, columns are
 predictions. A class with zero true and zero predicted instances contributes
-F1 = 0 and is flagged. The 90/10 train/validation split is per-window within
-the training users. Strategies whose training is identical (baseline and
-context_refinement) share one trained network per cell.
+F1 = 0 and is flagged. The 90/10 train/validation split (``VAL_FRACTION``) is
+per-window within the training users. Strategies whose training is identical
+(baseline and context_refinement) share one trained network per cell.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class Fold:
 @dataclass(frozen=True)
 class FoldPlan:
     folds: tuple[Fold, ...]
-    k: int
-    seed: int
 
 
 def make_folds(users: Sequence[str], k: int, seed: int) -> FoldPlan:
@@ -83,7 +81,7 @@ def make_folds(users: Sequence[str], k: int, seed: int) -> FoldPlan:
         test = tuple(sorted(order[start:start + k]))
         rest = tuple(sorted(u for u in order if u not in test))
         folds.append(Fold(test_users=test, train_users=rest))
-    return FoldPlan(folds=tuple(folds), k=k, seed=seed)
+    return FoldPlan(folds=tuple(folds))
 
 
 def confusion_matrix(y_true, y_pred, k: int) -> np.ndarray:
@@ -125,20 +123,15 @@ def macro_f1(confusion: np.ndarray) -> float:
     return float(f1.mean())
 
 
-def confidence_interval(values: Sequence[float], level: float = 0.95) -> tuple[float, float]:
-    """Mean and half-width of the normal-approximation confidence interval.
+def confidence_interval(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and half-width of the 95% normal-approximation confidence interval.
 
-    Uses mean +- z * (sample stddev / sqrt(n)) with z = 1.96 at the 95% level.
+    Uses mean +- 1.96 * (sample stddev / sqrt(n)).
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         raise ValueError("confidence interval needs at least 2 values")
-    if level == 0.95:
-        z = 1.96
-    else:
-        from statistics import NormalDist
-        z = NormalDist().inv_cdf((1.0 + level) / 2.0)
-    return float(values.mean()), float(z * values.std(ddof=1) / np.sqrt(values.size))
+    return float(values.mean()), float(1.96 * values.std(ddof=1) / np.sqrt(values.size))
 
 
 def split_train_validation(data: EncodedDataset, val_fraction: float,
@@ -176,11 +169,11 @@ class ExperimentReport:
     cells: list[ExperimentCell] = field(default_factory=list)
     rep_scores: dict = field(default_factory=dict)   # (strategy, fraction) -> list[float]
 
-    def aggregate(self, strategy: str, fraction: float) -> tuple[float, float]:
-        return confidence_interval(self.rep_scores[(strategy, fraction)])
-
     def mean_f1(self, strategy: str, fraction: float) -> float:
         return float(np.mean(self.rep_scores[(strategy, fraction)]))
+
+
+VAL_FRACTION = 0.1
 
 
 def _cell_seed(base_seed: int, *key: int) -> np.random.SeedSequence:
@@ -201,7 +194,6 @@ class _FoldJob:
     spec: NetworkSpec
     knowledge: KnowledgeModel | None
     train_cfg: TrainConfig
-    val_fraction: float
     alpha_grid: tuple[int, ...]
     window_seconds: float | None
     discretization: DiscretizationConfig | None
@@ -216,8 +208,7 @@ def _run_fold_job(job: _FoldJob) -> list[ExperimentCell]:
     split_seed = int(_cell_seed(job.seed, job.fold_idx, 0).generate_state(1)[0])
     sample_seed = int(_cell_seed(job.seed, job.fold_idx, 1).generate_state(1)[0])
     train_seed = int(_cell_seed(job.seed, job.fold_idx, 2).generate_state(1)[0])
-    train_full, val_data = split_train_validation(job.pool, job.val_fraction,
-                                                  seed=split_seed)
+    train_full, val_data = split_train_validation(job.pool, VAL_FRACTION, seed=split_seed)
     cells: list[ExperimentCell] = []
     for f_idx, fraction in enumerate(job.fractions):
         train_data = downsample_training(train_full, fraction, seed=sample_seed + f_idx)
@@ -248,10 +239,7 @@ def _run_fold_job(job: _FoldJob) -> list[ExperimentCell]:
                     # the cache hands one cross-entropy network to both
                     # baseline and context_refinement
                     model = dataclasses.replace(model, kind=cfg.kind)
-                if cfg.kind in ("baseline", "semantic_loss"):
-                    preds, _, _ = predict_many(model, job.test)
-                else:
-                    preds, _, _ = predict_many(model, job.test, job.knowledge)
+                preds, _, _ = predict_many(model, job.test, job.knowledge)
                 confusion = confusion_matrix(job.test.labels, preds, k)
                 cells.append(ExperimentCell(strategy.label, fraction, job.rep,
                                             job.fold_idx, confusion, alpha=chosen_alpha))
@@ -298,7 +286,6 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
                    knowledge: KnowledgeModel | None = None,
                    train_cfg: TrainConfig = TrainConfig(),
                    fold_seed: int = 0,
-                   val_fraction: float = 0.1,
                    alpha_grid: Sequence[int] = (),
                    window_seconds: float | None = None,
                    discretization: DiscretizationConfig | None = None,
@@ -340,7 +327,7 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
                     [encoded_by_user[u] for u in fold.test_users]),
                 strategies=tuple(strategies), fractions=tuple(fractions),
                 spec=spec, knowledge=knowledge, train_cfg=train_cfg,
-                val_fraction=val_fraction, alpha_grid=tuple(alpha_grid),
+                alpha_grid=tuple(alpha_grid),
                 window_seconds=window_seconds, discretization=discretization))
 
     if workers > 1:

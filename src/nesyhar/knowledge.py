@@ -33,12 +33,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 __all__ = [
-    "Activity",
     "ContextPredicate",
     "ContextDimension",
     "ContextVocabulary",
@@ -71,14 +70,6 @@ class RuleFileError(ValueError):
         self.source = source
         self.line = line
         self.column = column
-
-
-@dataclass(frozen=True)
-class Activity:
-    """One entry of the activity vocabulary; ids are dense 0..k-1."""
-
-    id: int
-    name: str
 
 
 @dataclass(frozen=True)
@@ -286,33 +277,24 @@ class AnyOf(Requirement):
 class KnowledgeModel:
     """Activity vocabulary, context vocabulary, and per-activity necessary conditions.
 
-    Immutable after construction; all queries are pure, so a single model is
-    safe to share between concurrent callers.
+    An activity's index (in labels, consistency vectors and probability
+    columns) is its position in ``activity_names``. Immutable after
+    construction; all queries are pure, so a single model is safe to share
+    between concurrent callers.
     """
 
-    activities: tuple[Activity, ...]
+    activity_names: tuple[str, ...]
     vocabulary: ContextVocabulary
     rules: Mapping[str, tuple[Requirement, ...]]
 
     def __post_init__(self):
-        names = {a.name for a in self.activities}
         for name in self.rules:
-            if name not in names:
+            if name not in self.activity_names:
                 raise ValueError(f"rule for unknown activity {name!r}")
 
     @property
-    def activity_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.activities)
-
-    @property
     def num_activities(self) -> int:
-        return len(self.activities)
-
-    def activity_index(self, name: str) -> int:
-        for a in self.activities:
-            if a.name == name:
-                return a.id
-        raise KeyError(name)
+        return len(self.activity_names)
 
     def is_consistent(self, activity: str, state: ContextState) -> bool:
         """True when every necessary condition of the activity holds under the state."""
@@ -322,12 +304,12 @@ class KnowledgeModel:
     def consistent_activities(self, state: ContextState) -> frozenset[str]:
         """The set of activities not excluded by any rule given the observed context."""
         self.vocabulary.validate_state(state)
-        return frozenset(a.name for a in self.activities if self.is_consistent(a.name, state))
+        return frozenset(a for a in self.activity_names if self.is_consistent(a, state))
 
     def consistency_vector(self, state: ContextState) -> np.ndarray:
         """Binary vector of length k: 1 at index i iff activity i is context-consistent."""
         consistent = self.consistent_activities(state)
-        return np.array([1 if a.name in consistent else 0 for a in self.activities],
+        return np.array([1 if a in consistent else 0 for a in self.activity_names],
                         dtype=np.int64)
 
 
@@ -502,8 +484,8 @@ def parse_knowledge(text: str, source: str = "<rules>") -> KnowledgeModel:
                                     source=source, line=lineno)
         rules.setdefault(activity, []).append(requirement)
 
-    activities = tuple(Activity(i, name) for i, name in enumerate(activity_names))
-    return KnowledgeModel(activities, vocab, {k: tuple(v) for k, v in rules.items()})
+    return KnowledgeModel(tuple(activity_names), vocab,
+                          {k: tuple(v) for k, v in rules.items()})
 
 
 def load_knowledge(path: str | Path) -> KnowledgeModel:

@@ -21,7 +21,6 @@ parameters of the best validation epoch.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -36,10 +35,9 @@ from .knowledge import ContextDimension, ContextVocabulary, KnowledgeModel
 from .losses import LossConfig, combined_loss_batch
 from .nn import AdamState, NetworkSpec, adam_step, backward, build_network, forward
 
-log = logging.getLogger(__name__)
-
 __all__ = [
     "STRATEGY_KINDS",
+    "REASONING_KINDS",
     "StrategyConfig",
     "TrainConfig",
     "TrainedModel",
@@ -55,6 +53,8 @@ __all__ = [
 ]
 
 STRATEGY_KINDS = ("baseline", "semantic_loss", "symbolic_features", "context_refinement")
+# the kinds that consult the reasoner at inference
+REASONING_KINDS = ("symbolic_features", "context_refinement")
 
 
 class TrainingDiverged(RuntimeError):
@@ -81,7 +81,7 @@ class StrategyConfig:
 
     @property
     def needs_knowledge_for_inference(self) -> bool:
-        return self.kind in ("symbolic_features", "context_refinement")
+        return self.kind in REASONING_KINDS
 
     @property
     def training_loss(self) -> LossConfig:
@@ -171,6 +171,9 @@ def consistency_masks(knowledge: KnowledgeModel, dataset: EncodedDataset) -> np.
     pure, so caching is sound)."""
     if knowledge.vocabulary != dataset.vocabulary:
         raise ValueError("dataset and knowledge model use different context vocabularies")
+    if knowledge.activity_names != dataset.activities:
+        raise ValueError("dataset and knowledge model list the activities in a different "
+                         "order or set")
     cache: dict[bytes, np.ndarray] = {}
     masks = np.empty((len(dataset), knowledge.num_activities), dtype=np.float64)
     for i, row in enumerate(dataset.context):
@@ -289,12 +292,6 @@ def refine(probs: np.ndarray, consistent) -> tuple[np.ndarray, bool]:
     return out / mass, False
 
 
-def _forward_infer(model: TrainedModel, phone, watch, context, infusion=None):
-    probs, _ = forward(model.params, model.spec, phone, watch, context,
-                       infusion=infusion, mode="infer")
-    return probs
-
-
 def predict_many(model: TrainedModel, data: EncodedDataset,
                  knowledge: KnowledgeModel | None = None):
     """Classify every sample of a dataset.
@@ -304,26 +301,22 @@ def predict_many(model: TrainedModel, data: EncodedDataset,
     other two kinds require it. Diagnostics carry the consistency vector (and,
     for context_refinement, the fallback flag) whenever the reasoner ran.
     """
-    if model.kind in ("symbolic_features", "context_refinement") and knowledge is None:
-        raise ValueError(f"{model.kind!r} models need a knowledge model at inference")
+    masks = None
+    if model.kind in REASONING_KINDS:
+        if knowledge is None:
+            raise ValueError(f"{model.kind!r} models need a knowledge model at inference")
+        masks = consistency_masks(knowledge, data)
+    probs, _ = forward(model.params, model.spec, data.phone, data.watch, data.context,
+                       infusion=masks if model.kind == "symbolic_features" else None,
+                       mode="infer")
 
     diagnostics: list[dict] = [{} for _ in range(len(data))]
-    if model.kind == "symbolic_features":
-        masks = consistency_masks(knowledge, data)
-        probs = _forward_infer(model, data.phone, data.watch, data.context, infusion=masks)
+    if masks is not None:
         for i in range(len(data)):
             diagnostics[i]["consistent"] = masks[i].astype(np.int64)
-    elif model.kind == "context_refinement":
-        masks = consistency_masks(knowledge, data)
-        raw = _forward_infer(model, data.phone, data.watch, data.context)
-        probs = np.empty_like(raw)
+    if model.kind == "context_refinement":
         for i in range(len(data)):
-            probs[i], fallback = refine(raw[i], masks[i])
-            diagnostics[i]["consistent"] = masks[i].astype(np.int64)
-            diagnostics[i]["fallback"] = fallback
-    else:
-        probs = _forward_infer(model, data.phone, data.watch, data.context)
-
+            probs[i], diagnostics[i]["fallback"] = refine(probs[i], masks[i])
     return probs.argmax(axis=1), probs, diagnostics
 
 
@@ -381,13 +374,24 @@ def save_model(model: TrainedModel, path: str | Path) -> Path:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    """Load a checkpoint written by :func:`save_model`."""
+    """Load a checkpoint written by :func:`save_model`; its parameter names and
+    shapes must match its network spec."""
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(str(archive["meta"]))
         if meta.get("version") != _CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
         params = {name[len("param:"):]: archive[name] for name in archive.files
                   if name.startswith("param:")}
+    spec = NetworkSpec.from_dict(meta["spec"])
+    shapes = {name: shape for name, shape, _ in spec.parameter_shapes()}
+    if params.keys() != shapes.keys():
+        name = sorted(params.keys() ^ shapes.keys())[0]
+        raise ValueError(f"{path}: parameter {name!r} is "
+                         + ("missing" if name in shapes else "not in the network spec"))
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise ValueError(f"{path}: parameter {name!r} has shape {params[name].shape}, "
+                             f"the network spec expects {shape}")
     disc = None
     if meta["discretization"] is not None:
         d = meta["discretization"]
@@ -397,7 +401,7 @@ def load_model(path: str | Path) -> TrainedModel:
             place_location=d["place_location"], weather_map=d["weather_map"])
     return TrainedModel(
         kind=meta["kind"],
-        spec=NetworkSpec.from_dict(meta["spec"]),
+        spec=spec,
         params=params,
         activities=tuple(meta["activities"]),
         vocabulary=_vocab_from_dict(meta["vocabulary"]),

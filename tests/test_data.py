@@ -7,7 +7,6 @@ from nesyhar.context import DiscretizationConfig, RawContextRecord
 from nesyhar.data import (
     Annotation,
     EncodedDataset,
-    MultiLabelRecord,
     SensorStream,
     SyntheticConfig,
     UserDataset,
@@ -18,7 +17,6 @@ from nesyhar.data import (
     enumerate_realizable_states,
     generate_synthetic,
     load_dataset,
-    map_and_clean_extrasensory,
     segment,
     write_dataset,
 )
@@ -91,7 +89,7 @@ def test_encode_round_trip(model):
     records = [RawContextRecord(1.0, speed=1.0, semantic_place="park")]
     windows = segment(make_user(4.0, records=records), 4.0, DISC, model.vocabulary)
     sample = encode(windows[0], model.vocabulary, model.activity_names)
-    assert sample.label == model.activity_index("walking")
+    assert sample.label == model.activity_names.index("walking")
     assert sample.context.sum() == len(windows[0].state)
     assert model.vocabulary.decode_state(sample.context) == windows[0].state == state
 
@@ -107,48 +105,6 @@ def test_encode_unknown_label_rejected(model):
                       4.0, DISC, model.vocabulary)
     with pytest.raises(KeyError, match="flying"):
         encode(windows[0], model.vocabulary, model.activity_names)
-
-
-# ---------------------------------------------------------------------------
-# In-the-wild label mapping / cleaning
-# ---------------------------------------------------------------------------
-
-def rec(labels, **kw):
-    return MultiLabelRecord(labels=frozenset(labels), **kw)
-
-
-def test_mapping_examples():
-    kept, _ = map_and_clean_extrasensory([
-        rec({"sitting", "on_a_bus"}),
-        rec({"strolling"}),
-        rec({"in_a_car", "sitting"}),
-        rec({"standing", "on_a_bus"}),
-        rec({"lying_down"}),
-    ])
-    assert [r.label for r in kept] == ["on_transport", "walking", "moving_by_car",
-                                       "on_transport", "lying_down"]
-
-
-def test_cleaning_drop_rules_counted():
-    kept, drops = map_and_clean_extrasensory([
-        rec({"in_a_car", "at_home"}),
-        rec({"sitting"}, phone_position="bag"),
-        rec({"lying_down"}, speed=1.2),
-        rec({"cooking"}),
-        rec({"walking", "sitting"}),
-        rec({"sitting"}, speed=0.0, payload="keep-me"),
-    ])
-    assert drops == {"car_at_home": 1, "phone_position": 1, "static_with_speed": 1,
-                     "no_target": 1, "ambiguous": 1}
-    assert len(kept) == 1
-    assert kept[0].label == "sitting"
-    assert kept[0].payload == "keep-me"
-
-
-def test_cleaning_never_touches_payload():
-    payload = object()
-    kept, _ = map_and_clean_extrasensory([rec({"walking"}, speed=2.0, payload=payload)])
-    assert kept[0].payload is payload
 
 
 # ---------------------------------------------------------------------------
@@ -316,4 +272,24 @@ def test_load_rejects_unknown_header(tmp_path, model):
     bad = tmp_path / "ds" / "annotations.csv"
     bad.write_text("# something else v9\nuser,activity,t_start,t_end\n")
     with pytest.raises(ValueError, match="header"):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_stream_rejects_bad_rate(rate):
+    with pytest.raises(ValueError, match="sampling rate"):
+        SensorStream(rate, ("x",), np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_stream_values(tmp_path, model, bad):
+    write_dataset(generate_synthetic(model, small_cfg(users=1)), tmp_path / "ds")
+    path = tmp_path / "ds" / "phone_user00.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[5].split(",")  # after the header and column lines: sample 3
+    fields[1] = bad
+    lines[5] = ",".join(fields)
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"phone_user00\.csv: stream channel 'p0' has a "
+                                         r"non-finite value at sample 3"):
         load_dataset(tmp_path / "ds")

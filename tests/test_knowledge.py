@@ -211,9 +211,8 @@ def random_model_and_states(rng):
         node = AllOf if rng.random() < 0.5 else AnyOf
         return node(tuple(random_requirement(depth + 1) for _ in range(rng.integers(2, 4))))
 
-    from nesyhar.knowledge import Activity
-    activities = tuple(Activity(i, f"a{i}") for i in range(rng.integers(2, 6)))
-    rules = {a.name: tuple(random_requirement() for _ in range(rng.integers(1, 3)))
+    activities = tuple(f"a{i}" for i in range(rng.integers(2, 6)))
+    rules = {a: tuple(random_requirement() for _ in range(rng.integers(1, 3)))
              for a in activities if rng.random() < 0.7}
     model = KnowledgeModel(activities, vocab, rules)
 
@@ -247,7 +246,7 @@ def test_monotonicity_randomized(seed):
 def test_unconstrained_activity_always_consistent(seed):
     rng = np.random.default_rng(seed)
     model, smaller, larger = random_model_and_states(rng)
-    unconstrained = [a.name for a in model.activities if a.name not in model.rules]
+    unconstrained = [a for a in model.activity_names if a not in model.rules]
     for state in (smaller, larger):
         consistent = model.consistent_activities(state)
         for name in unconstrained:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import make_encoded
-from nesyhar.knowledge import KnowledgeModel
+from conftest import TINY_RULES, make_encoded
+from nesyhar.knowledge import KnowledgeModel, parse_knowledge
 from nesyhar.losses import LossConfig
-from nesyhar.nn import parameter_count
+from nesyhar.nn import build_network, parameter_count
 from nesyhar.strategies import (
     EarlyStopping,
     StrategyConfig,
@@ -260,6 +260,16 @@ def test_symbolic_features_prediction_uses_consistency_input(tiny_model, tiny_ne
     np.testing.assert_array_equal(probs, direct)
 
 
+def test_consistency_masks_reject_other_activity_order(tiny_model, split):
+    # same context vocabulary, activities declared in reverse: the masks'
+    # columns would no longer line up with the labels and probabilities
+    reordered = parse_knowledge(TINY_RULES.replace("a_walk\na_run\na_ride\na_rest",
+                                                   "a_rest\na_ride\na_run\na_walk"))
+    assert reordered.vocabulary == tiny_model.vocabulary
+    with pytest.raises(ValueError, match="activities"):
+        consistency_masks(reordered, split[1])
+
+
 def test_single_sample_predict_matches_batch(tiny_model, tiny_net_spec, split):
     model = trained("baseline", tiny_model, tiny_net_spec, split)
     preds, probs, _ = predict_many(model, split[1])
@@ -292,6 +302,23 @@ def test_checkpoint_round_trip_value_exact(tiny_model, tiny_net_spec, split, tmp
     _, probs_a, _ = predict_many(model, val_data)
     _, probs_b, _ = predict_many(loaded, val_data)
     np.testing.assert_array_equal(probs_a, probs_b)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda p: {**p, "out.b": np.zeros(7)}, r"'out.b' has shape \(7,\)",
+                 id="wrong-shape"),
+    pytest.param(lambda p: {n: v for n, v in p.items() if n != "trunk.dense.w"},
+                 "'trunk.dense.w' is missing", id="missing"),
+    pytest.param(lambda p: {**p, "extra.w": np.zeros(2)},
+                 "'extra.w' is not in the network spec", id="unexpected"),
+])
+def test_load_model_rejects_parameters_not_matching_spec(tiny_model, tiny_net_spec, tmp_path,
+                                                         edit, message):
+    model = TrainedModel("baseline", tiny_net_spec, edit(build_network(tiny_net_spec, 0)),
+                         tiny_model.activity_names, tiny_model.vocabulary, LossConfig())
+    path = save_model(model, tmp_path / "model.npz")
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
 
 
 def test_trained_model_invariant():
