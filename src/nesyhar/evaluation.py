@@ -258,22 +258,62 @@ def _map_in_workers(fn, jobs: list, workers: int) -> list:
     """Map fn over jobs in `workers` spawned processes, each with BLAS pinned to
     one thread so they do not oversubscribe the machine. Forked workers would
     inherit the BLAS thread count this process set up when numpy loaded;
-    spawned ones load BLAS anew under the thread variables set here."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    spawned ones load BLAS anew under the thread variables set here.
+
+    A worker process that dies breaks the pool and every job still in it, so
+    each job lost that way runs again alone in a fresh process; if that
+    process dies too, the job's result is its BrokenProcessPool error.
+    """
+    from concurrent.futures.process import BrokenProcessPool
 
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as executor:
-            return list(executor.map(fn, jobs))
+        results = _run_in_pool(fn, jobs, workers)
+        for i, result in enumerate(results):
+            if isinstance(result, BrokenProcessPool):
+                results[i] = _run_in_pool(fn, [jobs[i]], 1)[0]
+        return results
     finally:
         for var, value in saved.items():
             if value is None:
                 os.environ.pop(var, None)
             else:
                 os.environ[var] = value
+
+
+def _run_in_pool(fn, jobs: list, workers: int) -> list:
+    """fn over jobs in one pool of spawned processes, in order; a job the pool
+    lost to a dead worker gets the BrokenProcessPool error as its result."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = []
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as executor:
+        try:
+            for job in jobs:
+                futures.append(executor.submit(fn, job))
+        except BrokenProcessPool:
+            pass            # a worker died already; the jobs not submitted are lost too
+        results = []
+        for future in futures:
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                results.append(exc)
+    lost = BrokenProcessPool("the pool broke before the job was submitted")
+    return results + [lost] * (len(jobs) - len(results))
+
+
+def _lost_job_cells(job: _FoldJob, error: BaseException) -> list[ExperimentCell]:
+    """The cells of a job whose worker process died, each recorded as failed."""
+    log.error("worker process died running repetition %d, fold %d: %s",
+              job.rep, job.fold_idx, error)
+    return [ExperimentCell(strategy.label, fraction, job.rep, job.fold_idx, None,
+                           error=f"worker process died: {error}")
+            for fraction in job.fractions for strategy in job.strategies]
 
 
 def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
@@ -295,7 +335,8 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
     Fully deterministic given the seed list (one seed per repetition),
     regardless of the worker count: (repetition, fold) jobs are independent
     and their seeding does not depend on scheduling. A failing cell is
-    recorded with its error and the run continues. Strategies with identical
+    recorded with its error and the run continues; so are all the cells of a
+    job whose worker process dies. Strategies with identical
     training signatures share one trained model per cell.
     """
     if repetitions < 1:
@@ -331,7 +372,10 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
                 window_seconds=window_seconds, discretization=discretization))
 
     if workers > 1:
-        results = _map_in_workers(_run_fold_job, jobs, workers)
+        from concurrent.futures.process import BrokenProcessPool
+
+        results = [_lost_job_cells(job, cells) if isinstance(cells, BrokenProcessPool) else cells
+                   for job, cells in zip(jobs, _map_in_workers(_run_fold_job, jobs, workers))]
     else:
         results = [_run_fold_job(job) for job in jobs]
 

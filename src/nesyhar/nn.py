@@ -9,10 +9,21 @@ The standard configuration uses conv filters (32, 64, 96) with kernels
 between conv blocks, a global max pool, dense 128 per inertial branch, dense 8
 for context, dropout 0.1, and a dense 256 trunk.
 
-Everything is plain numpy in double precision. Forward passes in train mode
-return a trace; :func:`backward` replays it to produce exact reverse-mode
-gradients for every parameter (and optionally the inputs), which the
-finite-difference utilities at the bottom verify.
+Everything is plain numpy in double precision. Each :class:`NetworkSpec` is
+compiled once (cached per spec) into a plan: the parameter layout and the conv
+blocks of each branch, whose buffers per batch size are views into one scratch
+block that every pass reuses. The parameters are one flat float64 vector whose
+named views form the parameter dict (:class:`Parameters`), so Adam updates and
+training copies the whole set at once. Inside an inertial branch the windows
+of a batch lie end to end, activations shaped (channels, batch * length): a
+convolution is one matrix product over a column matrix built from ``kernel``
+shifted copies of its input (the outputs that straddle two windows are
+computed and ignored), and max pooling is an elementwise maximum over the
+pool's slices. Forward passes in train mode return a trace; :func:`backward`
+replays it to produce exact reverse-mode gradients for every parameter (and
+optionally the inputs), which the finite-difference utilities at the bottom
+verify. Infer-mode passes keep no trace and run large batches in blocks of
+``INFER_BLOCK`` windows, so their memory does not grow with the batch.
 
 Convolutions are valid (no padding), stride 1, ReLU after every convolution
 and dense layer except the output. Max pooling uses stride == pool size and
@@ -24,18 +35,22 @@ inference needs no rescaling.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "BranchSpec",
     "NetworkSpec",
     "NetworkSpecError",
     "ShapeError",
+    "Parameters",
     "AdamState",
+    "INFER_BLOCK",
     "build_network",
     "forward",
     "backward",
@@ -47,6 +62,13 @@ __all__ = [
     "random_small_spec",
     "run_gradient_check_suite",
 ]
+
+# An infer-mode forward pass runs batches larger than this in blocks of this
+# many windows, which bounds its scratch memory.
+INFER_BLOCK = 128
+# The scratch memory keeps the array views of this many (spec, batch size)
+# pairs, the most recently used ones.
+_BUFFER_SETS = 16
 
 
 class NetworkSpecError(ValueError):
@@ -174,19 +196,60 @@ class NetworkSpec:
                    dropout=d["dropout"], infusion=d["infusion"])
 
 
-Parameters = dict  # name -> np.ndarray, float64
+class Parameters(dict):
+    """Named tensors that are views into one flat float64 vector.
+
+    It is a plain ``name -> array`` dict to every reader (checkpoints save it
+    as one); ``flat`` holds every value in ``layout`` order, so the optimizer
+    updates and training copies the whole set at once. Writing into an entry
+    writes into ``flat``; replacing an entry detaches it, which :meth:`intact`
+    detects.
+    """
+
+    def __init__(self, flat: np.ndarray, layout: tuple[tuple[str, tuple[int, ...]], ...]):
+        super().__init__()
+        self.flat = flat
+        self.layout = layout
+        offset = 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            self[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+        self._views = tuple(self.values())
+
+    @classmethod
+    def pack(cls, tensors: Mapping[str, np.ndarray]) -> "Parameters":
+        """A flat copy of any name -> array mapping, in its order."""
+        arrays = [np.asarray(t, dtype=np.float64) for t in tensors.values()]
+        flat = np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0)
+        return cls(flat, tuple((name, a.shape) for name, a in zip(tensors, arrays)))
+
+    def intact(self) -> bool:
+        """Whether every entry is still the view of ``flat`` it was built with."""
+        return len(self) == len(self._views) and all(
+            a is b for a, b in zip(self.values(), self._views))
+
+    def copy(self) -> "Parameters":
+        if self.intact():
+            return Parameters(self.flat.copy(), self.layout)
+        return Parameters.pack(self)
+
+    def __reduce__(self):
+        # a pickled view would come back as a copy, detached from `flat`
+        if self.intact():
+            return Parameters, (self.flat, self.layout)
+        return Parameters.pack, (dict(self),)
 
 
 def build_network(spec: NetworkSpec, seed: int) -> Parameters:
     """Seeded fan-in-scaled uniform initialization; biases start at zero."""
     rng = np.random.default_rng(seed)
-    params: Parameters = {}
+    plan = _plan(spec)
+    params = Parameters(np.zeros(plan.size), plan.layout)
     for name, shape, fan_in in spec.parameter_shapes():
-        if name.endswith(".b"):
-            params[name] = np.zeros(shape, dtype=np.float64)
-        else:
+        if not name.endswith(".b"):
             bound = 1.0 / np.sqrt(fan_in)
-            params[name] = rng.uniform(-bound, bound, size=shape)
+            params[name][...] = rng.uniform(-bound, bound, size=shape)
     return params
 
 
@@ -195,77 +258,241 @@ def parameter_count(spec: NetworkSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Layer primitives (batched, float64)
+# The compiled plan: layout, conv blocks and scratch buffers
 # ---------------------------------------------------------------------------
 
-def _conv1d_fwd(x, w, b):
-    # x (n, c, l), w (f, c, k) -> y (n, f, l - k + 1)
-    k = w.shape[2]
-    windows = sliding_window_view(x, k, axis=2)           # (n, c, l_out, k)
-    y = np.einsum("nclk,fck->nfl", windows, w, optimize=True) + b[:, None]
-    return y, (x, w)
+@dataclass(frozen=True)
+class _Conv:
+    """One conv block of a branch and the pool after it (pool 0: the branch's
+    global max pool)."""
+
+    w: str
+    b: str
+    channels: int
+    filters: int
+    kernel: int
+    length: int          # per-window input length
+    pool: int
+
+    @property
+    def out(self) -> int:
+        return self.length - self.kernel + 1
 
 
-def _conv1d_bwd(g, cache):
-    x, w = cache
-    k = w.shape[2]
-    windows = sliding_window_view(x, k, axis=2)
-    gb = g.sum(axis=(0, 2))
-    gw = np.einsum("nclk,nfl->fck", windows, g, optimize=True)
-    padded = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1)))
-    gwindows = sliding_window_view(padded, k, axis=2)     # (n, f, l, k)
-    gx = np.einsum("nflk,fck->ncl", gwindows, w[:, :, ::-1], optimize=True)
-    return gx, gw, gb
+class _ConvBuffers:
+    """Scratch arrays of one conv block for one batch size of n windows.
+
+    ``x`` (channels, n * length) is the block's input, the windows end to end.
+    ``y`` (filters, n * length) is its pre-activation output: column
+    ``s * length + t`` is output t of window s, and the last kernel - 1
+    columns of every window's slot straddle two windows and are never read.
+    ``gy``, ``dcols`` and ``gx`` are the gradients of ``y``, ``cols`` and ``x``.
+    """
+
+    def __init__(self, conv: _Conv, n: int, take: Callable[..., np.ndarray]):
+        c, k, length, f = conv.channels, conv.kernel, conv.length, conv.filters
+        self.conv = conv
+        self.span = n * length - k + 1
+        self.x = take(c, n * length)
+        self.x_windows = self.x.reshape(c, n, length)
+        # cols[(i, j), t] = x[i, t + j]: one strided read, one copy
+        self.shifted = as_strided(self.x, (c, k, self.span),
+                                  (self.x.strides[0], self.x.itemsize, self.x.itemsize),
+                                  writeable=False)
+        self.cols = take(c * k, self.span)
+        self.y = take(f, n * length)
+        self.y_valid = self.y[:, :self.span]
+        slots = self.y.reshape(f, n, length)
+        if conv.pool:
+            groups = conv.out // conv.pool
+            self.tiles = slots[:, :, :groups * conv.pool].reshape(f, n, groups, conv.pool)
+            self.pooled = None      # the next block's x, shaped (f, n, groups)
+        else:
+            self.outputs = slots[:, :, :conv.out]
+            self.slot_start = (np.arange(f)[:, None] * (n * length)
+                               + np.arange(n)[None, :] * length)
+
+    def take_gradients(self, take: Callable[..., np.ndarray]) -> None:
+        self.gy = take(*self.y.shape)
+        self.gy_valid = self.gy[:, :self.span]
+        if self.conv.pool:
+            f, n, groups, p = self.tiles.shape
+            slots = self.gy.reshape(f, n, -1)
+            self.gy_tiles = slots[:, :, :groups * p].reshape(f, n, groups, p)
+            self.gy_rest = slots[:, :, groups * p:]     # no pool window covers these
+        self.dcols = take(*self.cols.shape)
+        self.gx = take(*self.x.shape)
+
+    @staticmethod
+    def size(conv: _Conv, n: int) -> int:
+        """Elements of x, cols and y, and so also of their gradients."""
+        span = n * conv.length - conv.kernel + 1
+        return (conv.channels * n * conv.length + conv.channels * conv.kernel * span
+                + conv.filters * n * conv.length)
 
 
-def _relu_fwd(x):
-    return np.maximum(x, 0.0), x > 0
+class _Buffers:
+    """The scratch arrays of one plan for one batch size: views into
+    ``memory``, the forward pass's arrays first, so inference touches only
+    the front of it. The branches' gradient arrays share one region, because
+    backward finishes one branch before it starts the next."""
+
+    def __init__(self, plan: "_Plan", n: int, memory: np.ndarray):
+        offset = 0
+
+        def take(*shape):
+            nonlocal offset
+            size = math.prod(shape)
+            array = memory[offset:offset + size].reshape(shape)
+            offset += size
+            return array
+
+        self.branches = [[_ConvBuffers(conv, n, take) for conv in convs]
+                         for convs in plan.branches.values()]
+        gradients = offset
+        for blocks in self.branches:
+            offset = gradients
+            for block, following in zip(blocks, blocks[1:]):
+                block.pooled = following.x_windows
+            for block in blocks:
+                block.take_gradients(take)
+
+    @staticmethod
+    def size(plan: "_Plan", n: int) -> int:
+        branches = [sum(_ConvBuffers.size(conv, n) for conv in convs)
+                    for convs in plan.branches.values()]
+        return sum(branches) + max(branches)
 
 
-def _relu_bwd(g, positive):
-    return g * positive
+class _Scratch:
+    """The scratch memory of every forward and backward pass in the process.
+
+    Every pass lays its buffers out from the start of one float64 block, so
+    the block is as large as the largest pass needs, not the sum over the
+    specs and batch sizes in use, and passes after the first fault in no new
+    pages. Each forward pass overwrites it: ``generation`` counts them, and a
+    trace is valid while the count is unchanged. Shared by the whole process,
+    so this code is not thread-safe.
+    """
+
+    def __init__(self):
+        self.memory = np.empty(0)
+        self.generation = 0
+        self._sets: dict[tuple, _Buffers] = {}
+
+    def buffers(self, plan: "_Plan", n: int) -> _Buffers:
+        """The buffers of one pass of plan over n windows; counts the pass."""
+        key = (plan, n)
+        bufs = self._sets.pop(key, None)
+        if bufs is None:
+            size = _Buffers.size(plan, n)
+            if size > self.memory.size:
+                self.memory = np.empty(size)
+                self._sets.clear()
+            bufs = _Buffers(plan, n, self.memory)
+            while len(self._sets) >= _BUFFER_SETS:
+                del self._sets[next(iter(self._sets))]
+        self._sets[key] = bufs
+        self.generation += 1
+        return bufs
 
 
-def _maxpool_fwd(x, size):
-    # stride == size, remainder dropped; argmax keeps the first (lowest) index
-    n, c, length = x.shape
-    groups = length // size
-    trimmed = x[:, :, :groups * size].reshape(n, c, groups, size)
-    idx = trimmed.argmax(axis=3)
-    y = np.take_along_axis(trimmed, idx[..., None], axis=3)[..., 0]
-    return y, (idx, size, length)
+_SCRATCH = _Scratch()
 
 
-def _maxpool_bwd(g, cache):
-    idx, size, length = cache
-    n, c, groups = g.shape
-    gx = np.zeros((n, c, length), dtype=g.dtype)
-    scatter = np.zeros((n, c, groups, size), dtype=g.dtype)
-    np.put_along_axis(scatter, idx[..., None], g[..., None], axis=3)
-    gx[:, :, :groups * size] = scatter.reshape(n, c, groups * size)
+class _Plan:
+    """What one spec compiles to: the parameter layout (parameter_shapes()
+    order) and the conv blocks of each branch."""
+
+    def __init__(self, spec: NetworkSpec):
+        self.spec = spec
+        self.layout = tuple((name, shape) for name, shape, _ in spec.parameter_shapes())
+        self.size = sum(math.prod(shape) for _, shape in self.layout)
+        self.branches = {}
+        for name, branch in (("phone", spec.phone), ("watch", spec.watch)):
+            convs, channels, length = [], branch.channels, branch.length
+            for i, (filters, kernel) in enumerate(zip(branch.filters, branch.kernels)):
+                last = i == len(branch.filters) - 1
+                conv = _Conv(f"{name}.conv{i}.w", f"{name}.conv{i}.b", channels, filters,
+                             kernel, length, 0 if last else branch.pool)
+                convs.append(conv)
+                channels, length = filters, conv.out // branch.pool
+            self.branches[name] = tuple(convs)
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(spec: NetworkSpec) -> _Plan:
+    return _Plan(spec)
+
+
+# ---------------------------------------------------------------------------
+# Layers
+# ---------------------------------------------------------------------------
+
+def _conv_forward(block: _ConvBuffers, w: np.ndarray, b: np.ndarray) -> None:
+    """y = w * x + b over the whole batch: one column matrix, one GEMM."""
+    np.copyto(block.cols.reshape(block.shifted.shape), block.shifted)
+    np.matmul(w.reshape(w.shape[0], -1), block.cols, out=block.y_valid)
+    block.y_valid += b[:, None]
+
+
+def _conv_backward(block: _ConvBuffers, w: np.ndarray, gw: np.ndarray, gb: np.ndarray,
+                   want_input: bool) -> np.ndarray | None:
+    """Parameter gradients from block.gy; with want_input, also the input
+    gradient (into block.gx): wᵀ·gy, its k column shifts added up."""
+    np.sum(block.gy, axis=1, out=gb)
+    np.matmul(block.gy_valid, block.cols.T, out=gw.reshape(gw.shape[0], -1))
+    if not want_input:
+        return None
+    c, k = w.shape[1], w.shape[2]
+    np.matmul(w.reshape(w.shape[0], -1).T, block.gy_valid, out=block.dcols)
+    shifted = block.dcols.reshape(c, k, block.span)
+    gx, span = block.gx, block.span
+    np.copyto(gx[:, :span], shifted[:, 0])
+    gx[:, span:] = 0.0
+    for j in range(1, k):
+        gx[:, j:j + span] += shifted[:, j]
     return gx
 
 
-def _globalmaxpool_fwd(x):
-    idx = x.argmax(axis=2)
-    y = np.take_along_axis(x, idx[..., None], axis=2)[..., 0]
-    return y, (idx, x.shape)
+def _pool_relu_forward(block: _ConvBuffers) -> None:
+    """ReLU of the max over each pool window, into the next block's input:
+    one elementwise maximum per slice of the window."""
+    tiles, out = block.tiles, block.pooled
+    np.maximum(tiles[..., 0], 0.0, out=out)
+    for j in range(1, tiles.shape[3]):
+        np.maximum(out, tiles[..., j], out=out)
 
 
-def _globalmaxpool_bwd(g, cache):
-    idx, shape = cache
-    gx = np.zeros(shape, dtype=g.dtype)
-    np.put_along_axis(gx, idx[..., None], g[..., None], axis=2)
-    return gx
+def _pool_relu_backward(block: _ConvBuffers, g: np.ndarray) -> None:
+    """Route g (filters, n, groups), the gradient of the pooled output, into
+    block.gy at each window's maximum, the lowest index on ties; windows
+    whose output the ReLU zeroed pass nothing."""
+    tiles, out, g_tiles = block.tiles, block.pooled, block.gy_tiles
+    block.gy_rest.fill(0.0)
+    g *= out > 0.0
+    for j in range(tiles.shape[3] - 1):
+        np.multiply(g, tiles[..., j] == out, out=g_tiles[..., j])
+        g -= g_tiles[..., j]        # what the first winner took, exactly
+    np.copyto(g_tiles[..., -1], g)
 
 
-def _dense_fwd(x, w, b):
-    return x @ w + b, (x, w)
+def _global_pool_relu_forward(block: _ConvBuffers) -> np.ndarray:
+    """ReLU of each window's maximum output, shaped (filters, n)."""
+    return np.max(block.outputs, axis=2, initial=0.0)
 
 
-def _dense_bwd(g, cache):
-    x, w = cache
-    return g @ w.T, x.T @ g, g.sum(axis=0)
+def _global_pool_relu_backward(block: _ConvBuffers, g: np.ndarray, pooled: np.ndarray) -> None:
+    """Put g (filters, n) at each window's maximum (lowest index on ties)."""
+    block.gy.fill(0.0)
+    winners = block.slot_start + block.outputs.argmax(axis=2)
+    block.gy.reshape(-1)[winners] = g * (pooled > 0.0)
+
+
+def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    h = x @ w
+    h += b
+    return np.maximum(h, 0.0, out=h)
 
 
 def _dropout_fwd(x, rate, rng):
@@ -274,33 +501,23 @@ def _dropout_fwd(x, rate, rng):
     return x * keep * scale, (keep, scale)
 
 
-def _dropout_bwd(g, cache):
-    keep, scale = cache
-    return g * keep * scale
-
-
-def _softmax_fwd(z):
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p, p
-
-
-def _softmax_bwd(g, p):
-    return p * (g - (g * p).sum(axis=1, keepdims=True))
-
-
 # ---------------------------------------------------------------------------
 # Whole-network forward / backward
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Trace:
-    """Caches from one train-mode forward pass, consumed by :func:`backward`."""
+    """What :func:`backward` needs from one train-mode forward pass: the
+    parameters it read, the small activations, and the scratch buffers it
+    wrote, which stay valid until the next forward pass (``generation``
+    tells)."""
 
-    spec: NetworkSpec
-    caches: dict
+    plan: _Plan
+    params: Mapping[str, np.ndarray]
+    buffers: _Buffers
+    generation: int
     batch_size: int
+    acts: dict
 
 
 def _check_shape(name, array, expected):
@@ -308,44 +525,59 @@ def _check_shape(name, array, expected):
         raise ShapeError(f"{name} has shape {array.shape}, expected {expected}")
 
 
-def _branch_fwd(name, branch, x, params, caches):
-    for i in range(len(branch.filters)):
-        x, caches[f"{name}.conv{i}"] = _conv1d_fwd(
-            x, params[f"{name}.conv{i}.w"], params[f"{name}.conv{i}.b"])
-        x, caches[f"{name}.relu{i}"] = _relu_fwd(x)
-        if i < len(branch.filters) - 1:
-            x, caches[f"{name}.pool{i}"] = _maxpool_fwd(x, branch.pool)
-    x, caches[f"{name}.gmp"] = _globalmaxpool_fwd(x)
-    x, caches[f"{name}.dense"] = _dense_fwd(
-        x, params[f"{name}.dense.w"], params[f"{name}.dense.b"])
-    x, caches[f"{name}.denserelu"] = _relu_fwd(x)
-    return x
+def _forward_block(plan: _Plan, params, phone, watch, context, infusion, rng,
+                   train: bool) -> tuple[np.ndarray, Trace | None]:
+    spec = plan.spec
+    n = phone.shape[0]
+    bufs = _SCRATCH.buffers(plan, n)
+    acts: dict = {"context": context}
+    parts = []
+    for (name, convs), blocks, x in zip(plan.branches.items(), bufs.branches, (phone, watch)):
+        np.copyto(blocks[0].x_windows, x.transpose(1, 0, 2))
+        for conv, block in zip(convs, blocks):
+            _conv_forward(block, params[conv.w], params[conv.b])
+            if conv.pool:
+                _pool_relu_forward(block)
+        pooled = acts[f"{name}.pooled"] = _global_pool_relu_forward(blocks[-1])
+        parts.append(_dense_relu(pooled.T, params[f"{name}.dense.w"],
+                                 params[f"{name}.dense.b"]))
+    parts.append(_dense_relu(context, params["context.dense.w"], params["context.dense.b"]))
+    if spec.infusion:
+        parts.append(infusion)
+    acts["parts"] = parts
+    feats = np.concatenate(parts, axis=1)
+    acts["dropout"] = None
+    if train and spec.dropout > 0.0:
+        if rng is None:
+            raise ValueError("train-mode forward with dropout needs an rng")
+        feats, acts["dropout"] = _dropout_fwd(feats, spec.dropout, rng)
+    acts["feats"] = feats
+    hidden = acts["hidden"] = _dense_relu(feats, params["trunk.dense.w"],
+                                          params["trunk.dense.b"])
+    logits = hidden @ params["out.w"] + params["out.b"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = acts["probs"] = e / e.sum(axis=1, keepdims=True)
+    if not train:
+        return probs, None
+    return probs, Trace(plan=plan, params=params, buffers=bufs,
+                        generation=_SCRATCH.generation, batch_size=n, acts=acts)
 
 
-def _branch_bwd(name, branch, g, caches, grads):
-    g = _relu_bwd(g, caches[f"{name}.denserelu"])
-    g, grads[f"{name}.dense.w"], grads[f"{name}.dense.b"] = _dense_bwd(
-        g, caches[f"{name}.dense"])
-    g = _globalmaxpool_bwd(g, caches[f"{name}.gmp"])
-    for i in reversed(range(len(branch.filters))):
-        if i < len(branch.filters) - 1:
-            g = _maxpool_bwd(g, caches[f"{name}.pool{i}"])
-        g = _relu_bwd(g, caches[f"{name}.relu{i}"])
-        g, grads[f"{name}.conv{i}.w"], grads[f"{name}.conv{i}.b"] = _conv1d_bwd(
-            g, caches[f"{name}.conv{i}"])
-    return g
-
-
-def forward(params: Parameters, spec: NetworkSpec, phone: np.ndarray, watch: np.ndarray,
-            context: np.ndarray, infusion: np.ndarray | None = None, mode: str = "infer",
+def forward(params: Mapping[str, np.ndarray], spec: NetworkSpec, phone: np.ndarray,
+            watch: np.ndarray, context: np.ndarray, infusion: np.ndarray | None = None,
+            mode: str = "infer",
             rng: np.random.Generator | None = None) -> tuple[np.ndarray, Trace | None]:
     """Run the network on a batch; returns (probabilities, trace).
 
     Inputs are batched: phone (n, channels, length), watch likewise, context
     (n, context_size), infusion (n, classes) and required exactly when the spec
     declares an infusion input. mode "infer" disables dropout, is fully
-    deterministic, and returns trace None; mode "train" needs an rng whenever
-    the dropout rate is positive.
+    deterministic, runs batches of more than INFER_BLOCK windows in blocks of
+    that size and returns trace None; mode "train" needs an rng whenever the
+    dropout rate is positive. A trace stays valid until the next forward pass
+    (of any spec), and reads the parameters as they are when :func:`backward`
+    runs.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -366,36 +598,21 @@ def forward(params: Parameters, spec: NetworkSpec, phone: np.ndarray, watch: np.
         _check_shape("infusion input", infusion, (n, spec.classes))
     elif infusion is not None:
         raise ShapeError("infusion input given but the spec declares none")
+    if n == 0:
+        if mode == "train":
+            raise ShapeError("a train-mode batch needs at least one window")
+        return np.empty((0, spec.classes)), None
 
-    caches: dict = {}
-    phone_feat = _branch_fwd("phone", spec.phone, phone, params, caches)
-    watch_feat = _branch_fwd("watch", spec.watch, watch, params, caches)
-    ctx_pre, caches["context.dense"] = _dense_fwd(
-        context, params["context.dense.w"], params["context.dense.b"])
-    ctx_feat, caches["context.relu"] = _relu_fwd(ctx_pre)
-
-    parts = [phone_feat, watch_feat, ctx_feat]
-    if spec.infusion:
-        parts.append(infusion)
-    feats = np.concatenate(parts, axis=1)
-    caches["concat.widths"] = [p.shape[1] for p in parts]
-
-    if mode == "train" and spec.dropout > 0.0:
-        if rng is None:
-            raise ValueError("train-mode forward with dropout needs an rng")
-        feats, caches["dropout"] = _dropout_fwd(feats, spec.dropout, rng)
-    else:
-        caches["dropout"] = None
-
-    hidden, caches["trunk.dense"] = _dense_fwd(
-        feats, params["trunk.dense.w"], params["trunk.dense.b"])
-    hidden, caches["trunk.relu"] = _relu_fwd(hidden)
-    logits, caches["out"] = _dense_fwd(hidden, params["out.w"], params["out.b"])
-    probs, caches["softmax"] = _softmax_fwd(logits)
-
-    if mode == "infer":
-        return probs, None
-    return probs, Trace(spec=spec, caches=caches, batch_size=n)
+    plan = _plan(spec)
+    if mode == "train":
+        return _forward_block(plan, params, phone, watch, context, infusion, rng, True)
+    probs = np.empty((n, spec.classes))
+    for start in range(0, n, INFER_BLOCK):
+        rows = slice(start, start + INFER_BLOCK)
+        probs[rows], _ = _forward_block(plan, params, phone[rows], watch[rows], context[rows],
+                                        None if infusion is None else infusion[rows],
+                                        None, False)
+    return probs, None
 
 
 def backward(trace: Trace | None, grad_probs: np.ndarray,
@@ -403,43 +620,70 @@ def backward(trace: Trace | None, grad_probs: np.ndarray,
     """Exact reverse-mode gradients from a train-mode trace.
 
     grad_probs is the loss gradient with respect to the output probabilities,
-    shape (n, classes). Returns a gradient dict keyed like the parameters; with
-    want_input_grads=True returns (grads, input_grads) where input_grads has
-    keys phone, watch, context and, for infusion specs, infusion.
+    shape (n, classes). Returns a gradient dict keyed like the parameters (a
+    fresh :class:`Parameters`); with want_input_grads=True returns
+    (grads, input_grads) where input_grads has keys phone, watch, context and,
+    for infusion specs, infusion.
     """
     if trace is None:
         raise ValueError("backward needs the trace of a train-mode forward pass")
-    spec, caches = trace.spec, trace.caches
+    if _SCRATCH.generation != trace.generation:
+        raise ValueError("stale trace: a later forward pass overwrote its activations")
+    plan, params, acts = trace.plan, trace.params, trace.acts
+    spec = plan.spec
     grad_probs = np.asarray(grad_probs, dtype=np.float64)
     _check_shape("output gradient", grad_probs, (trace.batch_size, spec.classes))
 
-    grads: dict = {}
-    g = _softmax_bwd(grad_probs, caches["softmax"])
-    g, grads["out.w"], grads["out.b"] = _dense_bwd(g, caches["out"])
-    g = _relu_bwd(g, caches["trunk.relu"])
-    g, grads["trunk.dense.w"], grads["trunk.dense.b"] = _dense_bwd(g, caches["trunk.dense"])
-    if caches["dropout"] is not None:
-        g = _dropout_bwd(g, caches["dropout"])
+    grads = Parameters(np.empty(plan.size), plan.layout)
+    p = acts["probs"]
+    g = p * (grad_probs - (grad_probs * p).sum(axis=1, keepdims=True))
+    np.matmul(acts["hidden"].T, g, out=grads["out.w"])
+    np.sum(g, axis=0, out=grads["out.b"])
+    g = g @ params["out.w"].T
+    g *= acts["hidden"] > 0
+    np.matmul(acts["feats"].T, g, out=grads["trunk.dense.w"])
+    np.sum(g, axis=0, out=grads["trunk.dense.b"])
+    g = g @ params["trunk.dense.w"].T
+    if acts["dropout"] is not None:
+        keep, scale = acts["dropout"]
+        g = g * keep * scale
 
-    widths = caches["concat.widths"]
-    splits = np.cumsum(widths)[:-1]
-    parts = np.split(g, splits, axis=1)
-    g_phone_feat, g_watch_feat, g_ctx_feat = parts[0], parts[1], parts[2]
-    g_infusion = parts[3] if spec.infusion else None
+    parts = acts["parts"]
+    splits = np.cumsum([part.shape[1] for part in parts])[:-1]
+    g_parts = np.split(g, splits, axis=1)
+    input_grads = {}
 
-    g_ctx = _relu_bwd(g_ctx_feat, caches["context.relu"])
-    g_ctx, grads["context.dense.w"], grads["context.dense.b"] = _dense_bwd(
-        g_ctx, caches["context.dense"])
+    g_ctx = g_parts[2] * (parts[2] > 0)
+    np.matmul(acts["context"].T, g_ctx, out=grads["context.dense.w"])
+    np.sum(g_ctx, axis=0, out=grads["context.dense.b"])
+    if want_input_grads:
+        input_grads["context"] = g_ctx @ params["context.dense.w"].T
+        if spec.infusion:
+            input_grads["infusion"] = g_parts[3]
 
-    g_phone = _branch_bwd("phone", spec.phone, g_phone_feat, caches, grads)
-    g_watch = _branch_bwd("watch", spec.watch, g_watch_feat, caches, grads)
+    for (name, convs), blocks, g_dense, h in zip(plan.branches.items(), trace.buffers.branches,
+                                                 g_parts, parts):
+        g_dense = g_dense * (h > 0)
+        pooled = acts[f"{name}.pooled"]
+        np.matmul(pooled, g_dense, out=grads[f"{name}.dense.w"])
+        np.sum(g_dense, axis=0, out=grads[f"{name}.dense.b"])
+        g_pooled = params[f"{name}.dense.w"] @ g_dense.T           # (filters, n)
+        _global_pool_relu_backward(blocks[-1], g_pooled, pooled)
+        for i in reversed(range(len(convs))):
+            conv, block = convs[i], blocks[i]
+            gx = _conv_backward(block, params[conv.w], grads[conv.w], grads[conv.b],
+                                want_input=i > 0 or want_input_grads)
+            if i > 0:
+                prev = blocks[i - 1]
+                _pool_relu_backward(prev, gx.reshape(prev.pooled.shape))
+            elif want_input_grads:
+                input_grads[name] = block.gx.reshape(block.x_windows.shape).transpose(
+                    1, 0, 2).copy()
 
     if not want_input_grads:
         return grads
-    input_grads = {"phone": g_phone, "watch": g_watch, "context": g_ctx}
-    if spec.infusion:
-        input_grads["infusion"] = g_infusion
-    return grads, input_grads
+    return grads, {key: input_grads[key] for key in ("phone", "watch", "context", "infusion")
+                   if key in input_grads}
 
 
 # ---------------------------------------------------------------------------
@@ -448,42 +692,58 @@ def backward(trace: Trace | None, grad_probs: np.ndarray,
 
 @dataclass
 class AdamState:
-    """First/second moment estimates and the step counter."""
+    """First/second moment estimates, flat in the parameters' order, and the
+    step counter."""
 
     step: int
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
-    def fresh(cls, params: Parameters) -> "AdamState":
-        return cls(step=0,
-                   m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+    def fresh(cls, params: Mapping[str, np.ndarray]) -> "AdamState":
+        size = sum(np.size(p) for p in params.values())
+        return cls(step=0, m=np.zeros(size), v=np.zeros(size))
 
 
-def adam_step(params: Parameters, grads: Mapping[str, np.ndarray], state: AdamState,
-              lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
+def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
+              state: AdamState, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[Parameters, AdamState]:
-    """One Adam update; returns new parameter and state dicts.
+    """One Adam update, fused over the flat parameter vector; returns the
+    updated (parameters, state).
 
-    Raises on non-finite gradients, naming the offending tensor.
+    :class:`Parameters` and the state are updated in place and returned; any
+    other mapping is first packed into a new flat copy. Raises on non-finite
+    gradients, naming the offending tensor, before changing anything.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in {name!r}")
+    if not (isinstance(params, Parameters) and params.intact()):
+        params = Parameters.pack(params)
+    if (isinstance(grads, Parameters) and grads.intact()
+            and (grads.layout is params.layout or grads.layout == params.layout)):
+        g = grads.flat
+    else:
+        g = np.concatenate([np.asarray(grads[name], dtype=np.float64).ravel()
+                            for name in params])
+    if not np.isfinite(g).all():
+        views = Parameters(g, params.layout)
+        name = next(name for name, view in views.items() if not np.isfinite(view).all())
+        raise FloatingPointError(f"non-finite gradient in {name!r}")
     t = state.step + 1
-    new_params: Parameters = {}
-    new_m, new_v = {}, {}
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        new_params[name] = p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    g2 = (1.0 - beta2) * g
+    g2 *= g
+    v += g2
+    update = m / (1.0 - beta1 ** t)
+    update *= lr
+    denom = np.divide(v, 1.0 - beta2 ** t, out=g2)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update /= denom
+    params.flat -= update
+    state.step = t
+    return params, state
 
 
 # ---------------------------------------------------------------------------

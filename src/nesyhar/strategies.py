@@ -225,7 +225,7 @@ def train(train_data: EncodedDataset, val_data: EncodedDataset, strategy: Strate
     opt_state = AdamState.fresh(params)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     stopper = EarlyStopping(cfg.patience)
-    best_params = {name: p.copy() for name, p in params.items()}
+    best_params = params.copy()
     best_epoch = 0
     n = len(train_data)
     steps = 0
@@ -258,7 +258,7 @@ def train(train_data: EncodedDataset, val_data: EncodedDataset, strategy: Strate
         monitored = (cfg.val_metric(epoch, params) if cfg.val_metric is not None
                      else validation_loss())
         if stopper.update(monitored):
-            best_params = {name: p.copy() for name, p in params.items()}
+            best_params = params.copy()
             best_epoch = epoch
         if stopper.should_stop:
             break

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_encoded
+from nesyhar import evaluation
 from nesyhar.evaluation import (
     confidence_interval,
     confusion_matrix,
@@ -207,6 +208,47 @@ def test_workers_run_with_one_blas_thread(monkeypatch):
     assert _map_in_workers(os.getenv, list(_BLAS_THREAD_VARS), 2) == ["1", "1", "1"]
     assert os.environ["OMP_NUM_THREADS"] == "4"
     assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def _exit_on_negative(x):
+    # runs in a spawned worker: a negative job kills the worker process outright
+    if x < 0:
+        os._exit(3)
+    return x
+
+
+def _run_fold_job_dying_on_fold_one(job):
+    if job.fold_idx == 1:
+        os._exit(3)
+    return evaluation._run_fold_job(job)
+
+
+def test_dead_worker_loses_only_its_own_job():
+    from concurrent.futures.process import BrokenProcessPool
+    from nesyhar.evaluation import _map_in_workers
+    results = _map_in_workers(_exit_on_negative, [1, -3, 2, 4], 2)
+    assert [r for i, r in enumerate(results) if i != 1] == [1, 2, 4]
+    assert isinstance(results[1], BrokenProcessPool)
+
+
+def test_run_experiment_records_cells_of_a_dead_worker_as_failed(
+        monkeypatch, tiny_model, tiny_net_spec, encoded_by_user):
+    kwargs = dict(encoded_by_user=encoded_by_user, fractions=[0.5, 1.0], repetitions=1,
+                  fold_k=1, seeds=[1], spec=tiny_net_spec, knowledge=tiny_model,
+                  train_cfg=FAST, strategies=[StrategyConfig("baseline"),
+                                              StrategyConfig("context_refinement")])
+    sequential = run_experiment(workers=1, **kwargs)
+    monkeypatch.setattr(evaluation, "_run_fold_job", _run_fold_job_dying_on_fold_one)
+    report = run_experiment(workers=2, **kwargs)
+    assert len(report.cells) == len(sequential.cells) == 2 * 2 * 3
+    for cell, expected in zip(report.cells, sequential.cells):
+        assert (cell.strategy, cell.fraction, cell.repetition, cell.fold) == \
+               (expected.strategy, expected.fraction, expected.repetition, expected.fold)
+        if cell.fold == 1:
+            assert cell.confusion is None and cell.error.startswith("worker process died")
+        else:
+            assert cell.error is None
+            np.testing.assert_array_equal(cell.confusion, expected.confusion)
 
 
 def test_run_experiment_confusion_totals_match_test_windows(

@@ -1,12 +1,18 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nesyhar.losses import LossConfig
 from nesyhar.nn import (
+    INFER_BLOCK,
     AdamState,
     BranchSpec,
     NetworkSpec,
     NetworkSpecError,
+    Parameters,
     ShapeError,
     adam_step,
     backward,
@@ -19,11 +25,8 @@ from nesyhar.nn import (
     random_small_spec,
     run_gradient_check_suite,
     _dropout_fwd,
-    _globalmaxpool_bwd,
-    _globalmaxpool_fwd,
-    _maxpool_bwd,
-    _maxpool_fwd,
 )
+from nn_reference import reference_backward, reference_forward
 
 
 def tiny_spec(infusion=False, dropout=0.0):
@@ -61,6 +64,18 @@ def test_build_is_deterministic():
         np.testing.assert_array_equal(p1[name], p2[name])
     p3 = build_network(spec, seed=43)
     assert any(not np.array_equal(p1[k], p3[k]) for k in p1 if k.endswith(".w"))
+
+
+def test_build_draws_the_per_tensor_initial_values():
+    # one uniform draw per weight tensor, in parameter_shapes() order, as
+    # before the parameters became one flat vector
+    spec = tiny_spec(infusion=True)
+    rng = np.random.default_rng(42)
+    params = build_network(spec, seed=42)
+    for name, shape, fan_in in spec.parameter_shapes():
+        if name.endswith(".w"):
+            bound = 1.0 / np.sqrt(fan_in)
+            np.testing.assert_array_equal(params[name], rng.uniform(-bound, bound, size=shape))
 
 
 def test_biases_start_zero():
@@ -186,20 +201,48 @@ def test_infusion_input_gradient_reported_but_not_a_parameter():
     assert not any("infusion" in name for name in grads)
 
 
+def pass_through_spec(phone_length, pool, blocks):
+    """One channel and one filter per conv, kernel 1: with unit weights and
+    zero biases the phone branch only pools, so the input gradient shows
+    which input position each max pool routed to."""
+    phone = BranchSpec(channels=1, length=phone_length, filters=(1,) * blocks,
+                       kernels=(1,) * blocks, pool=pool, dense=1)
+    watch = BranchSpec(channels=1, length=2, filters=(1,), kernels=(1,), pool=2, dense=1)
+    return NetworkSpec(phone=phone, watch=watch, context_size=1, classes=2,
+                       context_dense=1, trunk_dense=2, dropout=0.0)
+
+
+def routed_input_gradient(spec, x):
+    params = build_network(spec, seed=0)
+    for name, value in params.items():
+        value[...] = 0.0 if name.endswith(".b") else 1.0
+    params["out.w"][...] = [[1.0, -1.0], [0.5, 2.0]]
+    phone = np.array(x, dtype=float).reshape(1, 1, -1)
+    _, trace = forward(params, spec, phone, np.ones((1, 1, 2)), np.zeros((1, 1)),
+                       mode="train")
+    _, inputs = backward(trace, np.array([[1.0, 0.0]]), want_input_grads=True)
+    return inputs["phone"][0, 0]
+
+
 def test_maxpool_ties_route_to_lowest_index():
-    x = np.array([[[2.0, 2.0, 5.0, 5.0, 1.0]]])
-    y, cache = _maxpool_fwd(x, 2)
-    np.testing.assert_array_equal(y, [[[2.0, 5.0]]])
-    gx = _maxpool_bwd(np.array([[[1.0, 3.0]]]), cache)
-    np.testing.assert_array_equal(gx, [[[1.0, 0.0, 3.0, 0.0, 0.0]]])
+    # pool 2 over [2, 2 | 5, 5 | 1]: the remainder 1 is dropped, the global max
+    # pool picks the 5s, and the tie inside that pool window goes to index 2
+    gx = routed_input_gradient(pass_through_spec(5, pool=2, blocks=2), [2, 2, 5, 5, 1])
+    assert np.flatnonzero(gx).tolist() == [2]
 
 
 def test_global_maxpool_tie_and_remainder():
-    x = np.array([[[4.0, 4.0, 1.0]]])
-    y, cache = _globalmaxpool_fwd(x)
-    np.testing.assert_array_equal(y, [[4.0]])
-    gx = _globalmaxpool_bwd(np.array([[2.0]]), cache)
-    np.testing.assert_array_equal(gx, [[[2.0, 0.0, 0.0]]])
+    gx = routed_input_gradient(pass_through_spec(3, pool=2, blocks=1), [4, 4, 1])
+    assert np.flatnonzero(gx).tolist() == [0]
+    # a tie between two pooled windows and inside each: lowest index throughout
+    gx = routed_input_gradient(pass_through_spec(7, pool=3, blocks=2), [4, 1, 4, 4, 4, 0, 9])
+    assert np.flatnonzero(gx).tolist() == [0]
+
+
+def test_negative_pool_windows_pass_no_gradient():
+    # every pooled value is zeroed by the ReLU, so no input position gets gradient
+    gx = routed_input_gradient(pass_through_spec(5, pool=2, blocks=2), [-1, -2, -3, -1, 4])
+    assert not gx.any()
 
 
 def test_dropout_statistics_and_scaling():
@@ -210,6 +253,204 @@ def test_dropout_statistics_and_scaling():
     assert abs(zero_rate - 0.1) < 0.01
     np.testing.assert_allclose(y[keep], 1.0 / 0.9)
     assert not y[~keep].any()
+
+
+# ---------------------------------------------------------------------------
+# The batched kernels against the reference kernels (tests/nn_reference.py)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def network_cases(draw):
+    """A random small spec, batch size, input kind and seed. Branch lengths
+    leave random pool remainders; integer-valued inputs and conv weights make
+    ties inside pool windows and between them common."""
+    def branch():
+        blocks = draw(st.integers(1, 3))
+        kernels = [draw(st.integers(1, 4)) for _ in range(blocks)]
+        pool = draw(st.integers(1, 3))
+        length = 1
+        for i, kernel in enumerate(reversed(kernels)):
+            if i > 0:
+                length = length * pool + draw(st.integers(0, pool - 1))
+            length += kernel - 1
+        return BranchSpec(channels=draw(st.integers(1, 2)),
+                          length=length + draw(st.integers(0, 3)),
+                          filters=tuple(draw(st.integers(1, 3)) for _ in range(blocks)),
+                          kernels=tuple(kernels), pool=pool, dense=draw(st.integers(1, 4)))
+    spec = NetworkSpec(phone=branch(), watch=branch(), context_size=draw(st.integers(1, 3)),
+                       classes=draw(st.integers(2, 4)), context_dense=draw(st.integers(1, 3)),
+                       trunk_dense=draw(st.integers(2, 5)),
+                       dropout=draw(st.sampled_from([0.0, 0.3])), infusion=draw(st.booleans()))
+    return spec, draw(st.integers(1, 5)), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def case_arrays(spec, n, integer, seed):
+    rng = np.random.default_rng(seed)
+    params = build_network(spec, seed)
+    phone = rng.normal(size=(n, spec.phone.channels, spec.phone.length))
+    watch = rng.normal(size=(n, spec.watch.channels, spec.watch.length))
+    for name, value in params.items():
+        if name.endswith(".b"):
+            value[...] = rng.normal(scale=0.1, size=value.shape)
+    if integer:
+        phone, watch = (rng.integers(-2, 3, size=x.shape).astype(float) for x in (phone, watch))
+        for name, value in params.items():
+            if ".conv" in name:
+                value[...] = rng.integers(-2, 3, size=value.shape)
+    context = rng.integers(0, 2, size=(n, spec.context_size)).astype(float)
+    infusion = (rng.integers(0, 2, size=(n, spec.classes)).astype(float)
+                if spec.infusion else None)
+    return params, (phone, watch, context, infusion), rng.normal(size=(n, spec.classes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(network_cases())
+def test_forward_and_backward_match_reference_kernels(case):
+    spec, n, integer, seed = case
+    params, inputs, grad_probs = case_arrays(spec, n, integer, seed)
+    tolerance = dict(rtol=1e-9, atol=1e-12)
+
+    probs, _ = forward(params, spec, *inputs, mode="infer")
+    expected, _ = reference_forward(params, spec, *inputs)
+    np.testing.assert_allclose(probs, expected, **tolerance)
+
+    probs, trace = forward(params, spec, *inputs, mode="train",
+                           rng=np.random.default_rng(seed))
+    keep = None
+    if spec.dropout > 0.0:
+        keep = np.random.default_rng(seed).random((n, spec.concat_width)) >= spec.dropout
+    expected, caches = reference_forward(params, spec, *inputs, keep=keep)
+    np.testing.assert_allclose(probs, expected, **tolerance)
+
+    grads, input_grads = backward(trace, grad_probs, want_input_grads=True)
+    expected_grads, expected_inputs = reference_backward(spec, caches, grad_probs)
+    assert list(grads) == list(params)
+    assert input_grads.keys() == expected_inputs.keys()
+    for name, value in expected_grads.items():
+        np.testing.assert_allclose(grads[name], value, err_msg=name, **tolerance)
+    for name, value in expected_inputs.items():
+        np.testing.assert_allclose(input_grads[name], value, err_msg=name, **tolerance)
+
+
+def test_parameter_gradients_do_not_depend_on_want_input_grads():
+    spec = tiny_spec(infusion=True, dropout=0.2)
+    params = build_network(spec, seed=8)
+    _, trace = forward(params, spec, *tiny_inputs(spec, n=5), mode="train",
+                       rng=np.random.default_rng(1))
+    grad_probs = np.random.default_rng(2).normal(size=(5, spec.classes))
+    without = backward(trace, grad_probs)
+    with_inputs, _ = backward(trace, grad_probs, want_input_grads=True)
+    assert list(without) == list(with_inputs)
+    for name in without:
+        np.testing.assert_array_equal(without[name], with_inputs[name])
+
+
+def test_results_do_not_share_memory_with_later_passes():
+    # every pass reuses one scratch block; what forward and backward return
+    # must not be views into it
+    spec = tiny_spec(infusion=True)
+    params = build_network(spec, seed=3)
+    inputs = tiny_inputs(spec, n=1)
+    probs, trace = forward(params, spec, *inputs, mode="train")
+    grads, input_grads = backward(trace, np.ones((1, 4)), want_input_grads=True)
+    kept = [a.copy() for a in (probs, grads.flat, *input_grads.values())]
+    _, trace = forward(params, spec, *tiny_inputs(spec, n=1, seed=9), mode="train")
+    backward(trace, -np.ones((1, 4)), want_input_grads=True)
+    for before, after in zip(kept, (probs, grads.flat, *input_grads.values())):
+        np.testing.assert_array_equal(before, after)
+
+
+def test_backward_rejects_a_trace_whose_buffers_were_reused():
+    spec = tiny_spec()
+    params = build_network(spec, seed=5)
+    _, first = forward(params, spec, *tiny_inputs(spec, seed=0), mode="train")
+    forward(params, spec, *tiny_inputs(spec, seed=1), mode="train")
+    with pytest.raises(ValueError, match="stale trace"):
+        backward(first, np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("n", [1, INFER_BLOCK, INFER_BLOCK + 1, 3 * INFER_BLOCK + 5])
+def test_infer_blocks_match_single_window_forwards(n):
+    spec = tiny_spec(infusion=True)
+    params = build_network(spec, seed=6)
+    phone, watch, context, infusion = tiny_inputs(spec, n=n, seed=n)
+    probs, trace = forward(params, spec, phone, watch, context, infusion)
+    assert trace is None and probs.shape == (n, spec.classes)
+    for i in range(n):
+        row, _ = forward(params, spec, phone[i:i + 1], watch[i:i + 1], context[i:i + 1],
+                         infusion[i:i + 1])
+        np.testing.assert_allclose(probs[i], row[0], rtol=1e-12, atol=0)
+
+
+def test_empty_batch():
+    spec = tiny_spec()
+    params = build_network(spec, seed=0)
+    phone, watch, context, _ = tiny_inputs(spec, n=0)
+    probs, _ = forward(params, spec, phone, watch, context)
+    assert probs.shape == (0, 4)
+    with pytest.raises(ShapeError, match="at least one window"):
+        forward(params, spec, phone, watch, context, mode="train")
+
+
+# ---------------------------------------------------------------------------
+# One flat parameter vector
+# ---------------------------------------------------------------------------
+
+def test_parameters_are_views_of_one_flat_vector():
+    spec = tiny_spec()
+    params = build_network(spec, seed=2)
+    assert [(name, p.shape) for name, p in params.items()] == [
+        (name, shape) for name, shape, _ in spec.parameter_shapes()]
+    assert params.flat.size == parameter_count(spec)
+    np.testing.assert_array_equal(params.flat,
+                                  np.concatenate([p.ravel() for p in params.values()]))
+    params["out.b"][0] = 7.0
+    assert 7.0 in params.flat
+    copy = params.copy()
+    copy.flat[:] = 0.0
+    assert params.flat.any()
+    assert params.intact()
+    params["out.b"] = np.zeros(4)
+    assert not params.intact()
+
+
+def test_parameters_survive_pickling_as_views():
+    params = build_network(tiny_spec(), seed=2)
+    back = pickle.loads(pickle.dumps(params))
+    assert back.intact()
+    back["out.w"][0, 0] = 3.0
+    assert back.flat[back.flat.size - 4 - back["out.w"].size] == 3.0
+
+
+def test_fused_adam_matches_per_tensor_formula():
+    lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+    params = build_network(tiny_spec(), seed=4)
+    flat = params.flat
+    expected = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(p) for name, p in expected.items()}
+    v = {name: np.zeros_like(p) for name, p in expected.items()}
+    state = AdamState.fresh(params)
+    rng = np.random.default_rng(0)
+    for t in range(1, 7):
+        grads = {name: rng.normal(size=p.shape) for name, p in expected.items()}
+        # odd steps pass the gradients as a plain dict, even steps as flat views
+        step_grads = grads if t % 2 else Parameters.pack(grads)
+        params, state = adam_step(params, step_grads, state, lr=lr)
+        for name, g in grads.items():
+            m[name] = beta1 * m[name] + (1.0 - beta1) * g
+            v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+            expected[name] = expected[name] - lr * (m[name] / (1.0 - beta1 ** t)) / (
+                np.sqrt(v[name] / (1.0 - beta2 ** t)) + eps)
+        for name in expected:
+            np.testing.assert_array_equal(params[name], expected[name])
+    assert params.flat is flat and state.step == 6
+
+
+def test_adam_leaves_a_plain_dict_unchanged():
+    params = {"w": np.array([1.0, -2.0])}
+    new_params, _ = adam_step(params, {"w": np.ones(2)}, AdamState.fresh(params))
+    np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+    assert (new_params["w"] < params["w"]).all()
 
 
 # ---------------------------------------------------------------------------

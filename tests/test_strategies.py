@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import TINY_RULES, make_encoded
 from nesyhar.knowledge import KnowledgeModel, parse_knowledge
 from nesyhar.losses import LossConfig
-from nesyhar.nn import build_network, parameter_count
+from nesyhar.nn import INFER_BLOCK, build_network, parameter_count
+from nn_reference import reference_forward
 from nesyhar.strategies import (
     EarlyStopping,
     StrategyConfig,
@@ -278,9 +281,54 @@ def test_single_sample_predict_matches_batch(tiny_model, tiny_net_spec, split):
     np.testing.assert_allclose(p, probs[4], atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, INFER_BLOCK, INFER_BLOCK + 1, 3 * INFER_BLOCK + 5])
+@pytest.mark.parametrize("kind", ["semantic_loss", "symbolic_features", "context_refinement"])
+def test_predict_many_matches_predict_across_inference_blocks(tiny_model, tiny_net_spec,
+                                                              kind, n):
+    spec = replace(tiny_net_spec, infusion=kind == "symbolic_features")
+    model = TrainedModel(kind, spec, build_network(spec, 3), tiny_model.activity_names,
+                         tiny_model.vocabulary, LossConfig())
+    data = make_encoded(tiny_model, spec, n, seed=n)
+    preds, probs, diagnostics = predict_many(model, data, tiny_model)
+    for i in range(n):
+        idx, p, diag = predict(model, data.sample(i), tiny_model)
+        assert idx == preds[i]
+        np.testing.assert_allclose(p, probs[i], rtol=1e-12, atol=0)
+        assert diag.keys() == diagnostics[i].keys()
+        for key, value in diag.items():
+            np.testing.assert_array_equal(value, diagnostics[i][key])
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
+
+def test_old_format_checkpoint_loads_and_predicts_as_before(tiny_model, tiny_net_spec,
+                                                           split, tmp_path):
+    # written by hand the way checkpoints have always been laid out: a JSON
+    # `meta` entry and one `param:<name>` array per tensor
+    import json
+    rng = np.random.default_rng(12)
+    arrays = {name: rng.normal(scale=0.5, size=shape)
+              for name, shape, _ in tiny_net_spec.parameter_shapes()}
+    meta = {"version": 1, "kind": "baseline", "spec": tiny_net_spec.to_dict(),
+            "activities": list(tiny_model.activity_names),
+            "vocabulary": [{"name": d.name, "values": list(d.values),
+                            "exclusive": d.exclusive}
+                           for d in tiny_model.vocabulary.dimensions],
+            "loss": {"semantic_type": "none", "alpha": 0.0}, "window_seconds": None,
+            "discretization": None, "meta": {}}
+    path = tmp_path / "old.npz"
+    np.savez(path, meta=json.dumps(meta), **{f"param:{n}": a for n, a in arrays.items()})
+    loaded = load_model(path)
+    for name, value in arrays.items():
+        np.testing.assert_array_equal(loaded.params[name], value)
+    val = split[1]
+    expected, _ = reference_forward(arrays, tiny_net_spec, val.phone, val.watch, val.context)
+    preds, probs, _ = predict_many(loaded, val)
+    np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(preds, expected.argmax(axis=1))
+
 
 def test_checkpoint_round_trip_value_exact(tiny_model, tiny_net_spec, split, tmp_path):
     from nesyhar.context import DiscretizationConfig
