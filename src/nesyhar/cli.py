@@ -45,11 +45,11 @@ def cmd_reason(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     consistent = model.consistent_activities(state)
-    vector = model.consistency_vector(state)
     names = [a for a in model.activity_names if a in consistent]
     print(f"consistent activities ({len(names)} of {model.num_activities}): "
           + (", ".join(names) if names else "(none)"))
-    print("consistency vector: " + " ".join(str(int(v)) for v in vector))
+    print("consistency vector: "
+          + " ".join("1" if a in consistent else "0" for a in model.activity_names))
     return 0
 
 
@@ -98,9 +98,7 @@ def cmd_run(args) -> int:
     report = run_experiment(
         encoded, cfg.strategies, cfg.fractions, cfg.repetitions, cfg.fold_k,
         cfg.seeds, spec, knowledge=model, train_cfg=cfg.training,
-        fold_seed=cfg.fold_seed, alpha_grid=cfg.alpha_grid,
-        window_seconds=cfg.window_seconds, discretization=cfg.discretization,
-        workers=workers)
+        fold_seed=cfg.fold_seed, alpha_grid=cfg.alpha_grid, workers=workers)
     paths = write_report(report, cfg.output_dir)
     print(format_report_table(report), end="")
     failed = [c for c in report.cells if c.error]

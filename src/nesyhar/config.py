@@ -190,10 +190,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
                     errors.append(f"dataset.synthetic: {exc}")
 
     strategies = _parse_strategies(raw.get("strategies"), errors)
-    needs_rules = any(s.kind != "baseline" for s in strategies)
-    if needs_rules and "rules" not in raw:
-        errors.append("rules: required for knowledge-based strategies "
-                      f"({', '.join(s.kind for s in strategies if s.kind != 'baseline')})")
 
     fractions = raw.get("fractions", [1.0])
     if (not isinstance(fractions, list) or not fractions
@@ -229,6 +225,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
             or not all(isinstance(a, int) and a >= 0 for a in alpha_grid)):
         errors.append("alpha_grid: must be a list of non-negative integers")
         alpha_grid = list(DEFAULT_ALPHA_GRID)
+    searching = [s.label for s in strategies if s.searches_alpha]
+    if not alpha_grid and searching:
+        errors.append(f"alpha_grid: empty, but {', '.join(searching)} needs a positive "
+                      "alpha or alphas to search (alpha 0 trains plain cross-entropy)")
 
     network = NetworkConfig()
     raw_net = raw.get("network", {})

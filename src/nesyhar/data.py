@@ -264,12 +264,11 @@ def encode_windows(windows: Sequence[Window], vocab: ContextVocabulary,
 
 
 def encode_user_datasets(datasets: Sequence[UserDataset], model: KnowledgeModel,
-                         z: float, cfg: DiscretizationConfig,
-                         keep_unlabeled: bool = False) -> dict[str, EncodedDataset]:
+                         z: float, cfg: DiscretizationConfig) -> dict[str, EncodedDataset]:
     """Segment and encode every user dataset against a knowledge model's vocabularies."""
     out = {}
     for ds in datasets:
-        windows = segment(ds, z, cfg, model.vocabulary, keep_unlabeled=keep_unlabeled)
+        windows = segment(ds, z, cfg, model.vocabulary)
         if windows:
             out[ds.user] = encode_windows(windows, model.vocabulary, model.activity_names)
         else:

@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .context import DiscretizationConfig
 from .data import EncodedDataset, downsample_training
 from .knowledge import KnowledgeModel
 from .nn import NetworkSpec
@@ -195,8 +194,6 @@ class _FoldJob:
     knowledge: KnowledgeModel | None
     train_cfg: TrainConfig
     alpha_grid: tuple[int, ...]
-    window_seconds: float | None
-    discretization: DiscretizationConfig | None
 
 
 def _run_fold_job(job: _FoldJob) -> list[ExperimentCell]:
@@ -217,8 +214,7 @@ def _run_fold_job(job: _FoldJob) -> list[ExperimentCell]:
             try:
                 chosen_alpha = None
                 cfg = strategy
-                if (strategy.kind == "semantic_loss" and job.alpha_grid
-                        and strategy.loss.alpha == 0.0):
+                if strategy.searches_alpha:
                     chosen_alpha, _ = grid_search_alpha(
                         strategy, job.alpha_grid, [(train_data, val_data)],
                         job.spec, job.knowledge, job.train_cfg, seed=train_seed)
@@ -231,9 +227,7 @@ def _run_fold_job(job: _FoldJob) -> list[ExperimentCell]:
                 if model is None:
                     model = train(
                         train_data, val_data, cfg, job.spec, seed=train_seed,
-                        knowledge=job.knowledge, cfg=job.train_cfg,
-                        window_seconds=job.window_seconds,
-                        discretization=job.discretization)
+                        knowledge=job.knowledge, cfg=job.train_cfg)
                     model_cache[signature] = model
                 if model.kind != cfg.kind:
                     # the cache hands one cross-entropy network to both
@@ -327,8 +321,6 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
                    train_cfg: TrainConfig = TrainConfig(),
                    fold_seed: int = 0,
                    alpha_grid: Sequence[int] = (),
-                   window_seconds: float | None = None,
-                   discretization: DiscretizationConfig | None = None,
                    workers: int = 1) -> ExperimentReport:
     """Run the full strategy x fraction x repetition x fold grid.
 
@@ -346,6 +338,8 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
     if any(s.needs_knowledge_for_training or s.needs_knowledge_for_inference
            for s in strategies) and knowledge is None:
         raise ValueError("knowledge model required by at least one strategy")
+    if not alpha_grid and any(s.searches_alpha for s in strategies):
+        raise ValueError("semantic_loss with alpha 0 needs a non-empty alpha grid")
 
     users = sorted(encoded_by_user)
     plan = make_folds(users, fold_k, fold_seed)
@@ -368,8 +362,7 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
                     [encoded_by_user[u] for u in fold.test_users]),
                 strategies=tuple(strategies), fractions=tuple(fractions),
                 spec=spec, knowledge=knowledge, train_cfg=train_cfg,
-                alpha_grid=tuple(alpha_grid),
-                window_seconds=window_seconds, discretization=discretization))
+                alpha_grid=tuple(alpha_grid)))
 
     if workers > 1:
         from concurrent.futures.process import BrokenProcessPool

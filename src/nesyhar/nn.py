@@ -13,7 +13,7 @@ Everything is plain numpy in double precision. Each :class:`NetworkSpec` is
 compiled once (cached per spec) into a plan: the parameter layout and the conv
 blocks of each branch, whose buffers per batch size are views into one scratch
 block that every pass reuses. The parameters are one flat float64 vector whose
-named views form the parameter dict (:class:`Parameters`), so Adam updates and
+named views form a read-only mapping (:class:`Parameters`), so Adam updates and
 training copies the whole set at once. Inside an inertial branch the windows
 of a batch lie end to end, activations shaped (channels, batch * length): a
 convolution is one matrix product over a column matrix built from ``kernel``
@@ -196,26 +196,36 @@ class NetworkSpec:
                    dropout=d["dropout"], infusion=d["infusion"])
 
 
-class Parameters(dict):
+class Parameters(Mapping):
     """Named tensors that are views into one flat float64 vector.
 
-    It is a plain ``name -> array`` dict to every reader (checkpoints save it
-    as one); ``flat`` holds every value in ``layout`` order, so the optimizer
-    updates and training copies the whole set at once. Writing into an entry
-    writes into ``flat``; replacing an entry detaches it, which :meth:`intact`
-    detects.
+    A read-only ``name -> array`` mapping (checkpoints save it as one): an
+    entry can be written in place, never replaced, so every entry stays the
+    view of ``flat`` it was built with. ``flat`` holds every value in
+    ``layout`` order, so the optimizer updates and training copies the whole
+    set at once.
     """
 
+    __slots__ = ("flat", "layout", "_views")
+
     def __init__(self, flat: np.ndarray, layout: tuple[tuple[str, tuple[int, ...]], ...]):
-        super().__init__()
         self.flat = flat
         self.layout = layout
+        self._views = {}
         offset = 0
         for name, shape in layout:
             size = math.prod(shape)
-            self[name] = flat[offset:offset + size].reshape(shape)
+            self._views[name] = flat[offset:offset + size].reshape(shape)
             offset += size
-        self._views = tuple(self.values())
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
     @classmethod
     def pack(cls, tensors: Mapping[str, np.ndarray]) -> "Parameters":
@@ -224,21 +234,12 @@ class Parameters(dict):
         flat = np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0)
         return cls(flat, tuple((name, a.shape) for name, a in zip(tensors, arrays)))
 
-    def intact(self) -> bool:
-        """Whether every entry is still the view of ``flat`` it was built with."""
-        return len(self) == len(self._views) and all(
-            a is b for a, b in zip(self.values(), self._views))
-
     def copy(self) -> "Parameters":
-        if self.intact():
-            return Parameters(self.flat.copy(), self.layout)
-        return Parameters.pack(self)
+        return Parameters(self.flat.copy(), self.layout)
 
     def __reduce__(self):
         # a pickled view would come back as a copy, detached from `flat`
-        if self.intact():
-            return Parameters, (self.flat, self.layout)
-        return Parameters.pack, (dict(self),)
+        return Parameters, (self.flat, self.layout)
 
 
 def build_network(spec: NetworkSpec, seed: int) -> Parameters:
@@ -254,7 +255,7 @@ def build_network(spec: NetworkSpec, seed: int) -> Parameters:
 
 
 def parameter_count(spec: NetworkSpec) -> int:
-    return sum(int(np.prod(shape)) for _, shape, _ in spec.parameter_shapes())
+    return _plan(spec).size
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +621,8 @@ def backward(trace: Trace | None, grad_probs: np.ndarray,
     """Exact reverse-mode gradients from a train-mode trace.
 
     grad_probs is the loss gradient with respect to the output probabilities,
-    shape (n, classes). Returns a gradient dict keyed like the parameters (a
-    fresh :class:`Parameters`); with want_input_grads=True returns
+    shape (n, classes). Returns the parameter gradients as a fresh
+    :class:`Parameters` in the plan's layout; with want_input_grads=True returns
     (grads, input_grads) where input_grads has keys phone, watch, context and,
     for infusion specs, infusion.
     """
@@ -700,32 +701,25 @@ class AdamState:
     v: np.ndarray
 
     @classmethod
-    def fresh(cls, params: Mapping[str, np.ndarray]) -> "AdamState":
-        size = sum(np.size(p) for p in params.values())
-        return cls(step=0, m=np.zeros(size), v=np.zeros(size))
+    def fresh(cls, params: Parameters) -> "AdamState":
+        return cls(step=0, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
-              state: AdamState, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
+def adam_step(params: Parameters, grads: Parameters, state: AdamState, lr: float = 1e-3,
+              beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[Parameters, AdamState]:
-    """One Adam update, fused over the flat parameter vector; returns the
-    updated (parameters, state).
+    """One Adam update, fused over the flat parameter vector; updates params
+    and state in place and returns them.
 
-    :class:`Parameters` and the state are updated in place and returned; any
-    other mapping is first packed into a new flat copy. Raises on non-finite
-    gradients, naming the offending tensor, before changing anything.
+    Raises ValueError when grads is not laid out like params, and
+    FloatingPointError on non-finite gradients, naming the offending tensor,
+    before changing anything.
     """
-    if not (isinstance(params, Parameters) and params.intact()):
-        params = Parameters.pack(params)
-    if (isinstance(grads, Parameters) and grads.intact()
-            and (grads.layout is params.layout or grads.layout == params.layout)):
-        g = grads.flat
-    else:
-        g = np.concatenate([np.asarray(grads[name], dtype=np.float64).ravel()
-                            for name in params])
+    if grads.layout != params.layout:
+        raise ValueError("gradients and parameters have different layouts")
+    g = grads.flat
     if not np.isfinite(g).all():
-        views = Parameters(g, params.layout)
-        name = next(name for name, view in views.items() if not np.isfinite(view).all())
+        name = next(name for name, view in grads.items() if not np.isfinite(view).all())
         raise FloatingPointError(f"non-finite gradient in {name!r}")
     t = state.step + 1
     m, v = state.m, state.v
@@ -750,27 +744,21 @@ def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
 # Finite-difference verification
 # ---------------------------------------------------------------------------
 
-def finite_difference_gradients(value_fn: Callable[[], float], tensors: Mapping[str, np.ndarray],
-                                h: float = 1e-5) -> dict:
-    """Central-difference gradients of value_fn with respect to every tensor entry.
-
-    value_fn must read the (mutated in place) tensors on each call.
-    """
-    fd = {}
-    for name, tensor in tensors.items():
-        grad = np.zeros_like(tensor)
-        flat = tensor.reshape(-1)
-        grad_flat = grad.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + h
-            plus = value_fn()
-            flat[i] = original - h
-            minus = value_fn()
-            flat[i] = original
-            grad_flat[i] = (plus - minus) / (2.0 * h)
-        fd[name] = grad
-    return fd
+def finite_difference_gradients(value_fn: Callable[[], float], flat: np.ndarray,
+                                h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of value_fn with respect to every entry of
+    the 1-d array flat, which is perturbed in place and which value_fn must
+    read on each call."""
+    grad = np.empty_like(flat)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + h
+        plus = value_fn()
+        flat[i] = original - h
+        minus = value_fn()
+        flat[i] = original
+        grad[i] = (plus - minus) / (2.0 * h)
+    return grad
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -806,14 +794,14 @@ def random_small_spec(rng: np.random.Generator, infusion: bool | None = None) ->
     )
 
 
-def _random_inputs(spec: NetworkSpec, rng: np.random.Generator, n: int = 2):
-    phone = rng.normal(size=(n, spec.phone.channels, spec.phone.length))
-    watch = rng.normal(size=(n, spec.watch.channels, spec.watch.length))
-    context = rng.integers(0, 2, size=(n, spec.context_size)).astype(np.float64)
-    infusion = None
+def _random_inputs(spec: NetworkSpec, rng: np.random.Generator, n: int = 2) -> Parameters:
+    """Random network inputs for n windows, as one flat vector to perturb."""
+    inputs = {"phone": rng.normal(size=(n, spec.phone.channels, spec.phone.length)),
+              "watch": rng.normal(size=(n, spec.watch.channels, spec.watch.length)),
+              "context": rng.integers(0, 2, size=(n, spec.context_size)).astype(np.float64)}
     if spec.infusion:
-        infusion = rng.integers(0, 2, size=(n, spec.classes)).astype(np.float64)
-    return phone, watch, context, infusion
+        inputs["infusion"] = rng.integers(0, 2, size=(n, spec.classes)).astype(np.float64)
+    return Parameters.pack(inputs)
 
 
 def gradient_check_network(spec: NetworkSpec, seed: int, h: float = 1e-5,
@@ -822,9 +810,10 @@ def gradient_check_network(spec: NetworkSpec, seed: int, h: float = 1e-5,
 
     The scalar head is a fixed random linear functional of the output
     probabilities, or the combined training loss when loss_cfg is given.
-    Checks every parameter tensor and all network inputs. When the spec has a
-    positive dropout rate, dropout_seed fixes the mask so the function stays
-    deterministic across finite-difference evaluations.
+    Perturbs every entry of the flat parameter vector, then of the packed
+    network inputs. When the spec has a positive dropout rate, dropout_seed
+    fixes the mask so the function stays deterministic across
+    finite-difference evaluations.
     """
     from .losses import combined_loss_batch
 
@@ -835,9 +824,9 @@ def gradient_check_network(spec: NetworkSpec, seed: int, h: float = 1e-5,
     # randomize biases too, so their gradients are exercised from a generic point
     for name in params:
         if name.endswith(".b"):
-            params[name] = rng.normal(scale=0.1, size=params[name].shape)
-    phone, watch, context, infusion = _random_inputs(spec, rng)
-    n = phone.shape[0]
+            params[name][...] = rng.normal(scale=0.1, size=params[name].shape)
+    inputs = _random_inputs(spec, rng)
+    n = inputs["phone"].shape[0]
     head = rng.normal(size=(n, spec.classes))
     labels = rng.integers(0, spec.classes, size=n)
     masks = rng.integers(0, 2, size=(n, spec.classes)).astype(bool)
@@ -845,8 +834,8 @@ def gradient_check_network(spec: NetworkSpec, seed: int, h: float = 1e-5,
     def run(mode):
         fwd_rng = (np.random.default_rng(dropout_seed)
                    if spec.dropout > 0.0 and mode == "train" else None)
-        return forward(params, spec, phone, watch, context, infusion,
-                       mode=mode, rng=fwd_rng)
+        return forward(params, spec, inputs["phone"], inputs["watch"], inputs["context"],
+                       inputs.get("infusion"), mode=mode, rng=fwd_rng)
 
     def value() -> float:
         probs, _ = run("train")
@@ -866,18 +855,10 @@ def gradient_check_network(spec: NetworkSpec, seed: int, h: float = 1e-5,
                 return gradient_check_network(spec, seed + 1000, h, loss_cfg, dropout_seed)
         _, grad_probs = combined_loss_batch(probs, labels, masks, loss_cfg)
     analytic, input_grads = backward(trace, grad_probs, want_input_grads=True)
-
-    tensors = dict(params)
-    fd = finite_difference_gradients(value, tensors, h)
-    worst = max(max_relative_error(analytic[name], fd[name]) for name in analytic)
-
-    inputs = {"phone": phone, "watch": watch, "context": context}
-    if spec.infusion:
-        inputs["infusion"] = infusion
-    fd_inputs = finite_difference_gradients(value, inputs, h)
-    for name, fd_grad in fd_inputs.items():
-        worst = max(worst, max_relative_error(input_grads[name], fd_grad))
-    return worst
+    return max(
+        max_relative_error(analytic.flat, finite_difference_gradients(value, params.flat, h)),
+        max_relative_error(Parameters.pack(input_grads).flat,
+                           finite_difference_gradients(value, inputs.flat, h)))
 
 
 def run_gradient_check_suite(seed: int = 0, trials: int = 20,

@@ -33,7 +33,7 @@ from .context import DiscretizationConfig
 from .data import EncodedDataset, EncodedSample
 from .knowledge import ContextDimension, ContextVocabulary, KnowledgeModel
 from .losses import LossConfig, combined_loss_batch
-from .nn import AdamState, NetworkSpec, adam_step, backward, build_network, forward
+from .nn import AdamState, NetworkSpec, Parameters, adam_step, backward, build_network, forward
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -84,6 +84,12 @@ class StrategyConfig:
         return self.kind in REASONING_KINDS
 
     @property
+    def searches_alpha(self) -> bool:
+        """A semantic_loss strategy with alpha 0 takes its alpha from a grid
+        search; it cannot train with alpha 0, which is plain cross-entropy."""
+        return self.kind == "semantic_loss" and self.loss.alpha == 0.0
+
+    @property
     def training_loss(self) -> LossConfig:
         return self.loss if self.kind == "semantic_loss" else LossConfig()
 
@@ -117,7 +123,7 @@ class TrainConfig:
     batch_size: int = 32
     patience: int = 5
     learning_rate: float = 1e-3
-    val_metric: Callable[[int, dict], float] | None = None
+    val_metric: Callable[[int, Parameters], float] | None = None
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
@@ -152,7 +158,7 @@ class TrainedModel:
 
     kind: str
     spec: NetworkSpec
-    params: dict
+    params: Parameters
     activities: tuple[str, ...]
     vocabulary: ContextVocabulary
     loss: LossConfig
@@ -375,7 +381,7 @@ def save_model(model: TrainedModel, path: str | Path) -> Path:
 
 def load_model(path: str | Path) -> TrainedModel:
     """Load a checkpoint written by :func:`save_model`; its parameter names and
-    shapes must match its network spec."""
+    shapes must match its network spec, whose layout the loaded parameters take."""
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(str(archive["meta"]))
         if meta.get("version") != _CHECKPOINT_VERSION:
@@ -402,7 +408,7 @@ def load_model(path: str | Path) -> TrainedModel:
     return TrainedModel(
         kind=meta["kind"],
         spec=spec,
-        params=params,
+        params=Parameters.pack({name: params[name] for name in shapes}),
         activities=tuple(meta["activities"]),
         vocabulary=_vocab_from_dict(meta["vocabulary"]),
         loss=LossConfig(meta["loss"]["semantic_type"], meta["loss"]["alpha"]),

@@ -153,3 +153,26 @@ def reference_backward(spec, caches, grad_probs):
     if spec.infusion:
         inputs["infusion"] = parts[3]
     return grads, inputs
+
+
+def finite_difference_gradients(value_fn, tensors, h=1e-5):
+    """Central-difference gradients of value_fn, tensor by tensor: the loop
+    that ``nesyhar.nn.finite_difference_gradients`` runs over one flat vector.
+
+    value_fn must read the (mutated in place) tensors on each call.
+    """
+    fd = {}
+    for name, tensor in tensors.items():
+        grad = np.zeros_like(tensor)
+        flat = tensor.reshape(-1)
+        grad_flat = grad.reshape(-1)
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + h
+            plus = value_fn()
+            flat[i] = original - h
+            minus = value_fn()
+            flat[i] = original
+            grad_flat[i] = (plus - minus) / (2.0 * h)
+        fd[name] = grad
+    return fd

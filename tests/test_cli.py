@@ -132,6 +132,32 @@ def test_run_missing_rules_file_is_config_error(tmp_path, capsys):
     assert "rules" in err and "not found" in err
 
 
+@pytest.mark.parametrize("alpha", [{}, {"alpha": 0}], ids=["omitted", "zero"])
+def test_run_semantic_loss_without_alpha_or_grid_is_config_error(tmp_path, capsys, alpha):
+    # with no alpha and no grid to choose one, the strategy would train plain
+    # cross-entropy under a semantic_loss label
+    strategies = [{"kind": "baseline"},
+                  {"kind": "semantic_loss", "semantic_type": "All", **alpha}]
+    rc = main(["run", "--config", str(write_config(tmp_path, strategies=strategies,
+                                                    alpha_grid=[]))])
+    assert rc == 2
+    assert "alpha_grid: empty, but semantic_loss[All,a=0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    from nesyhar.config import load_config
+    cfg = load_config(write_config(tmp_path, strategies=strategies, alpha_grid=[1, 2]))
+    assert cfg.strategies[1].searches_alpha and cfg.alpha_grid == (1, 2)
+
+
+def test_run_missing_rules_key_is_reported_once(tmp_path, capsys):
+    path = write_config(tmp_path)
+    cfg = yaml.safe_load(path.read_text())
+    del cfg["rules"]
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "1 config problem(s)" in err and err.count("rules:") == 1
+
+
 def test_run_config_errors_listed_exhaustively(tmp_path, capsys):
     cfg = write_config(tmp_path, rules="missing.rules", fractions=[2.0],
                        repetitions=0, bogus_key=1)

@@ -264,6 +264,15 @@ def test_run_experiment_confusion_totals_match_test_windows(
         assert cell.test_windows == expected
 
 
+def test_run_experiment_rejects_semantic_loss_without_alpha_or_grid(
+        tiny_model, tiny_net_spec, encoded_by_user):
+    with pytest.raises(ValueError, match="alpha grid"):
+        run_experiment(
+            encoded_by_user, [StrategyConfig("semantic_loss", LossConfig("All"))],
+            fractions=[1.0], repetitions=1, fold_k=1, seeds=[0], spec=tiny_net_spec,
+            knowledge=tiny_model, train_cfg=FAST, alpha_grid=())
+
+
 def test_grid_search_alpha_tie_breaks_low(tiny_model, tiny_net_spec, encoded_by_user):
     data = list(encoded_by_user.values())[0]
     strategy = StrategyConfig("semantic_loss", LossConfig("All", 0.0))

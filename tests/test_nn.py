@@ -26,6 +26,7 @@ from nesyhar.nn import (
     run_gradient_check_suite,
     _dropout_fwd,
 )
+from nn_reference import finite_difference_gradients as per_tensor_finite_differences
 from nn_reference import reference_backward, reference_forward
 
 
@@ -409,15 +410,18 @@ def test_parameters_are_views_of_one_flat_vector():
     copy = params.copy()
     copy.flat[:] = 0.0
     assert params.flat.any()
-    assert params.intact()
-    params["out.b"] = np.zeros(4)
-    assert not params.intact()
+    # entries are written in place, never replaced
+    out_b = params["out.b"]
+    with pytest.raises(TypeError):
+        params["out.b"] = np.zeros(4)
+    with pytest.raises(TypeError):
+        del params["out.b"]
+    assert params["out.b"] is out_b
 
 
 def test_parameters_survive_pickling_as_views():
     params = build_network(tiny_spec(), seed=2)
     back = pickle.loads(pickle.dumps(params))
-    assert back.intact()
     back["out.w"][0, 0] = 3.0
     assert back.flat[back.flat.size - 4 - back["out.w"].size] == 3.0
 
@@ -433,9 +437,7 @@ def test_fused_adam_matches_per_tensor_formula():
     rng = np.random.default_rng(0)
     for t in range(1, 7):
         grads = {name: rng.normal(size=p.shape) for name, p in expected.items()}
-        # odd steps pass the gradients as a plain dict, even steps as flat views
-        step_grads = grads if t % 2 else Parameters.pack(grads)
-        params, state = adam_step(params, step_grads, state, lr=lr)
+        params, state = adam_step(params, Parameters.pack(grads), state, lr=lr)
         for name, g in grads.items():
             m[name] = beta1 * m[name] + (1.0 - beta1) * g
             v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
@@ -446,11 +448,14 @@ def test_fused_adam_matches_per_tensor_formula():
     assert params.flat is flat and state.step == 6
 
 
-def test_adam_leaves_a_plain_dict_unchanged():
-    params = {"w": np.array([1.0, -2.0])}
-    new_params, _ = adam_step(params, {"w": np.ones(2)}, AdamState.fresh(params))
-    np.testing.assert_array_equal(params["w"], [1.0, -2.0])
-    assert (new_params["w"] < params["w"]).all()
+def test_adam_rejects_gradients_in_another_layout():
+    params = Parameters.pack({"w": np.zeros(2), "b": np.zeros(1)})
+    state = AdamState.fresh(params)
+    for grads in (Parameters.pack({"b": np.ones(1), "w": np.ones(2)}),
+                  Parameters.pack({"w": np.ones(3)})):
+        with pytest.raises(ValueError, match="layout"):
+            adam_step(params, grads, state)
+    assert not params.flat.any() and state.step == 0
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +494,25 @@ def test_gradcheck_negative_control():
     # A deliberately wrong analytic gradient must be caught by the machinery.
     x = np.array([1.0, -2.0, 0.5])
     wrong_analytic = -2.0 * x
-    fd = finite_difference_gradients(lambda: float((x ** 2).sum()), {"x": x})["x"]
+    fd = finite_difference_gradients(lambda: float((x ** 2).sum()), x)
     assert max_relative_error(wrong_analytic, fd) > 1e-4
     assert max_relative_error(2.0 * x, fd) < 1e-6
+
+
+def test_flat_finite_differences_match_the_per_tensor_loop():
+    spec = tiny_spec(infusion=True)
+    params = build_network(spec, seed=5)
+    params.flat[...] += np.random.default_rng(5).normal(scale=0.1, size=params.flat.size)
+    phone, watch, context, infusion = tiny_inputs(spec, n=2, seed=5)
+    head = np.random.default_rng(6).normal(size=(2, spec.classes))
+
+    def value():
+        probs, _ = forward(params, spec, phone, watch, context, infusion, mode="train")
+        return float((head * probs).sum())
+
+    per_tensor = per_tensor_finite_differences(value, params)
+    flat = finite_difference_gradients(value, params.flat)
+    np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in per_tensor.values()]))
 
 
 def test_gradcheck_suite_rejects_zero_trials():
@@ -504,29 +525,29 @@ def test_gradcheck_suite_rejects_zero_trials():
 # ---------------------------------------------------------------------------
 
 def test_adam_zero_gradients_leave_parameters_unchanged():
-    params = {"w": np.array([1.0, -2.0])}
+    params = Parameters.pack({"w": np.array([1.0, -2.0])})
     state = AdamState.fresh(params)
-    new_params, new_state = adam_step(params, {"w": np.zeros(2)}, state)
-    np.testing.assert_array_equal(new_params["w"], params["w"])
+    new_params, new_state = adam_step(params, Parameters.pack({"w": np.zeros(2)}), state)
+    np.testing.assert_array_equal(new_params["w"], [1.0, -2.0])
     assert new_state.step == 1
 
 
 def test_adam_first_step_hand_computed():
     # t=1, g=1: m_hat = 1, v_hat = 1, step = lr / (1 + eps)
     lr = 1e-3
-    params = {"w": np.array([0.0])}
+    params = Parameters.pack({"w": np.array([0.0])})
     state = AdamState.fresh(params)
-    new_params, _ = adam_step(params, {"w": np.array([1.0])}, state, lr=lr)
+    new_params, _ = adam_step(params, Parameters.pack({"w": np.array([1.0])}), state, lr=lr)
     expected = -lr * 1.0 / (1.0 + 1e-8)
     np.testing.assert_allclose(new_params["w"], [expected], rtol=0, atol=1e-18)
 
 
 def test_adam_converges_on_quadratic():
     # f(w) = (w - 0.5)^2, minimizer at 0.5
-    params = {"w": np.array([0.0])}
+    params = Parameters.pack({"w": np.array([0.0])})
     state = AdamState.fresh(params)
     for _ in range(5000):
-        grad = {"w": 2.0 * (params["w"] - 0.5)}
+        grad = Parameters.pack({"w": 2.0 * (params["w"] - 0.5)})
         params, state = adam_step(params, grad, state)
         if abs(params["w"][0] - 0.5) < 1e-3:
             break
@@ -534,7 +555,9 @@ def test_adam_converges_on_quadratic():
 
 
 def test_adam_rejects_non_finite_gradient():
-    params = {"w": np.array([0.0]), "b": np.array([0.0])}
+    params = Parameters.pack({"w": np.array([0.0]), "b": np.array([0.0])})
     state = AdamState.fresh(params)
     with pytest.raises(FloatingPointError, match="'b'"):
-        adam_step(params, {"w": np.array([1.0]), "b": np.array([np.nan])}, state)
+        adam_step(params, Parameters.pack({"w": np.array([1.0]), "b": np.array([np.nan])}),
+                  state)
+    assert not params.flat.any() and state.step == 0

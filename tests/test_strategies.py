@@ -6,7 +6,7 @@ import pytest
 from conftest import TINY_RULES, make_encoded
 from nesyhar.knowledge import KnowledgeModel, parse_knowledge
 from nesyhar.losses import LossConfig
-from nesyhar.nn import INFER_BLOCK, build_network, parameter_count
+from nesyhar.nn import INFER_BLOCK, Parameters, build_network, parameter_count
 from nn_reference import reference_forward
 from nesyhar.strategies import (
     EarlyStopping,
@@ -319,8 +319,14 @@ def test_old_format_checkpoint_loads_and_predicts_as_before(tiny_model, tiny_net
             "loss": {"semantic_type": "none", "alpha": 0.0}, "window_seconds": None,
             "discretization": None, "meta": {}}
     path = tmp_path / "old.npz"
-    np.savez(path, meta=json.dumps(meta), **{f"param:{n}": a for n, a in arrays.items()})
+    # the archive's own entry order does not matter
+    np.savez(path, meta=json.dumps(meta),
+             **{f"param:{n}": a for n, a in reversed(arrays.items())})
     loaded = load_model(path)
+    assert isinstance(loaded.params, Parameters)
+    assert list(loaded.params) == list(arrays)
+    np.testing.assert_array_equal(loaded.params.flat,
+                                  np.concatenate([a.ravel() for a in arrays.values()]))
     for name, value in arrays.items():
         np.testing.assert_array_equal(loaded.params[name], value)
     val = split[1]
