@@ -71,7 +71,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .config import load_config
+    from .config import ConfigError, load_config
     from .data import encode_user_datasets, generate_synthetic, load_dataset
     from .evaluation import format_report_table, run_experiment, write_report
     from .knowledge import load_knowledge
@@ -90,11 +90,19 @@ def cmd_run(args) -> int:
     encoded = encode_user_datasets(datasets, model, cfg.window_seconds, cfg.discretization)
     if not encoded:
         raise UsageError("no usable windows in the dataset")
+    # what the data must meet: a network that fits its windows, a fold_k
+    # that leaves training users
     first = next(iter(encoded.values()))
-    spec = cfg.network.to_spec(
-        phone_channels=first.phone.shape[1], phone_length=first.phone.shape[2],
-        watch_channels=first.watch.shape[1], watch_length=first.watch.shape[2],
-        context_size=first.context.shape[1], classes=len(first.activities))
+    try:
+        spec = cfg.network.to_spec(
+            phone_channels=first.phone.shape[1], phone_length=first.phone.shape[2],
+            watch_channels=first.watch.shape[1], watch_length=first.watch.shape[2],
+            context_size=first.context.shape[1], classes=len(first.activities))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([f"network: {exc}"], args.config) from None
+    if cfg.fold_k >= len(encoded):
+        raise ConfigError([f"fold_k: {cfg.fold_k} leaves no training users among the "
+                           f"{len(encoded)} with usable windows"], args.config)
     report = run_experiment(
         encoded, cfg.strategies, cfg.fractions, cfg.repetitions, cfg.fold_k,
         cfg.seeds, spec, knowledge=model, train_cfg=cfg.training,

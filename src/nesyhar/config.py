@@ -14,9 +14,9 @@ import yaml
 
 from .context import DiscretizationConfig
 from .data import SyntheticConfig
-from .losses import SEMANTIC_TYPES, LossConfig
+from .losses import LossConfig
 from .nn import BranchSpec, NetworkSpec
-from .strategies import STRATEGY_KINDS, StrategyConfig, TrainConfig
+from .strategies import StrategyConfig, TrainConfig
 
 __all__ = ["ConfigError", "NetworkConfig", "ExperimentConfig", "load_config"]
 
@@ -85,10 +85,37 @@ _TOP_LEVEL_KEYS = {
     "training", "discretization",
 }
 
-_SYNTHETIC_KEYS = {f.name for f in fields(SyntheticConfig)}
-_NETWORK_KEYS = {f.name for f in fields(NetworkConfig)}
-# val_metric is a callable hook, not something a YAML file can set
-_TRAINING_KEYS = {f.name for f in fields(TrainConfig)} - {"val_metric"}
+
+def _is_int(value: Any) -> bool:
+    """A YAML integer: `true` is a Python int too, but never a count or a seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _section(where: str, cls: type, raw: Any, errors: list[str],
+             hidden: frozenset[str] = frozenset(), **fixed: Any) -> Any:
+    """Build dataclass ``cls`` from one YAML mapping, or record why not.
+
+    Every field except ``hidden`` and ``fixed`` ones may be set; YAML lists
+    become tuples, and the dataclass's own checks are reported under ``where``.
+    """
+    if not isinstance(raw, Mapping):
+        errors.append(f"{where}: must be a mapping")
+        return None
+    unknown = set(raw) - ({f.name for f in fields(cls)} - hidden - set(fixed))
+    if unknown:
+        errors.append(f"{where}: unknown key(s) {sorted(unknown)}")
+        return None
+    tuples = [f.name for f in fields(cls) if isinstance(f.default, tuple)]
+    not_lists = [k for k in tuples if k in raw and not isinstance(raw[k], list)]
+    if not_lists:
+        errors.append(f"{where}: {', '.join(not_lists)} must be a list")
+        return None
+    try:
+        return cls(**fixed, **{k: tuple(v) if isinstance(v, list) else v
+                               for k, v in raw.items()})
+    except (TypeError, ValueError) as exc:
+        errors.append(f"{where}: {exc}")
+        return None
 
 
 def _parse_strategies(raw: Any, errors: list[str]) -> list[StrategyConfig]:
@@ -101,32 +128,16 @@ def _parse_strategies(raw: Any, errors: list[str]) -> list[StrategyConfig]:
         if not isinstance(entry, Mapping) or "kind" not in entry:
             errors.append(f"{where}: each strategy needs a 'kind'")
             continue
-        kind = entry["kind"]
-        if kind not in STRATEGY_KINDS:
-            errors.append(f"{where}: unknown kind {kind!r} "
-                          f"(expected one of {', '.join(STRATEGY_KINDS)})")
-            continue
         extra = set(entry) - {"kind", "semantic_type", "alpha"}
         if extra:
             errors.append(f"{where}: unknown key(s) {sorted(extra)}")
-        loss = LossConfig()
-        if kind == "semantic_loss":
-            semantic_type = entry.get("semantic_type")
-            if semantic_type not in SEMANTIC_TYPES or semantic_type == "none":
-                errors.append(f"{where}: semantic_loss needs semantic_type, one of "
-                              f"{', '.join(t for t in SEMANTIC_TYPES if t != 'none')}")
-                continue
-            alpha = entry.get("alpha", 0)
-            try:
-                loss = LossConfig(semantic_type, float(alpha))
-            except (TypeError, ValueError) as exc:
-                errors.append(f"{where}: {exc}")
-                continue
-        elif "semantic_type" in entry or "alpha" in entry:
+        if entry["kind"] != "semantic_loss" and ("semantic_type" in entry or "alpha" in entry):
             errors.append(f"{where}: semantic_type/alpha only apply to semantic_loss")
+            continue
         try:
-            strategies.append(StrategyConfig(kind, loss))
-        except ValueError as exc:
+            loss = LossConfig(entry.get("semantic_type", "none"), float(entry.get("alpha", 0)))
+            strategies.append(StrategyConfig(entry["kind"], loss))
+        except (TypeError, ValueError) as exc:
             errors.append(f"{where}: {exc}")
     return strategies
 
@@ -160,8 +171,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     output_dir = Path(str(raw.get("output_dir", "out")))
 
     window_seconds = raw.get("window_seconds", 4.0)
-    if not isinstance(window_seconds, (int, float)) or window_seconds <= 0:
+    if not (_is_int(window_seconds) or isinstance(window_seconds, float)) or window_seconds <= 0:
         errors.append("window_seconds: must be a positive number")
+        window_seconds = 4.0
 
     dataset = raw.get("dataset")
     dataset_dir = None
@@ -173,104 +185,51 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not dataset_dir.is_dir():
             errors.append(f"dataset.directory: not a directory: {dataset_dir}")
     else:
-        syn = dataset["synthetic"]
-        if not isinstance(syn, Mapping):
-            errors.append("dataset.synthetic: must be a mapping")
-        else:
-            unknown = set(syn) - _SYNTHETIC_KEYS
-            if unknown:
-                errors.append(f"dataset.synthetic: unknown key(s) {sorted(unknown)}")
-            else:
-                try:
-                    synthetic = SyntheticConfig(
-                        window_seconds=float(window_seconds)
-                        if isinstance(window_seconds, (int, float)) else 4.0,
-                        **{k: syn[k] for k in syn if k != "window_seconds"})
-                except (TypeError, ValueError) as exc:
-                    errors.append(f"dataset.synthetic: {exc}")
+        synthetic = _section("dataset.synthetic", SyntheticConfig, dataset["synthetic"],
+                             errors, window_seconds=float(window_seconds))
 
     strategies = _parse_strategies(raw.get("strategies"), errors)
 
     fractions = raw.get("fractions", [1.0])
-    if (not isinstance(fractions, list) or not fractions
-            or not all(isinstance(f, (int, float)) and 0 < f <= 1 for f in fractions)):
+    if not isinstance(fractions, list) or not fractions or not all(
+            (_is_int(f) or isinstance(f, float)) and 0 < f <= 1 for f in fractions):
         errors.append("fractions: must be a non-empty list of numbers in (0, 1]")
         fractions = [1.0]
 
     repetitions = raw.get("repetitions", 5)
-    if not isinstance(repetitions, int) or repetitions < 1:
+    if not _is_int(repetitions) or repetitions < 1:
         errors.append("repetitions: must be a positive integer")
         repetitions = 1
 
     seeds = raw.get("seeds")
-    if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         errors.append("seeds: must be a non-empty list of integers")
-        seeds = [0]
     elif len(seeds) < repetitions:
         errors.append(f"seeds: need at least one per repetition "
                       f"({len(seeds)} given, {repetitions} repetitions)")
 
     fold_k = raw.get("fold_k", 1)
-    if not isinstance(fold_k, int) or fold_k < 1:
+    if not _is_int(fold_k) or fold_k < 1:
         errors.append("fold_k: must be a positive integer")
-        fold_k = 1
     fold_seed = raw.get("fold_seed", 0)
-    if not isinstance(fold_seed, int):
+    if not _is_int(fold_seed):
         errors.append("fold_seed: must be an integer")
-        fold_seed = 0
 
     alpha_grid = raw.get("alpha_grid", list(DEFAULT_ALPHA_GRID))
-    if (not isinstance(alpha_grid, list)
-            or not all(isinstance(a, int) and a >= 0 for a in alpha_grid)):
-        errors.append("alpha_grid: must be a list of non-negative integers")
+    if not isinstance(alpha_grid, list) or not all(_is_int(a) and a >= 1 for a in alpha_grid):
+        errors.append("alpha_grid: must be a list of positive integers "
+                      "(the no-penalty comparison is the baseline strategy)")
         alpha_grid = list(DEFAULT_ALPHA_GRID)
     searching = [s.label for s in strategies if s.searches_alpha]
     if not alpha_grid and searching:
         errors.append(f"alpha_grid: empty, but {', '.join(searching)} needs a positive "
                       "alpha or alphas to search (alpha 0 trains plain cross-entropy)")
 
-    network = NetworkConfig()
-    raw_net = raw.get("network", {})
-    if not isinstance(raw_net, Mapping):
-        errors.append("network: must be a mapping")
-    else:
-        unknown = set(raw_net) - _NETWORK_KEYS
-        if unknown:
-            errors.append(f"network: unknown key(s) {sorted(unknown)}")
-        else:
-            kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw_net.items()}
-            try:
-                network = NetworkConfig(**kwargs)
-            except (TypeError, ValueError) as exc:
-                errors.append(f"network: {exc}")
-
-    training = TrainConfig()
-    raw_train = raw.get("training", {})
-    if not isinstance(raw_train, Mapping):
-        errors.append("training: must be a mapping")
-    else:
-        unknown = set(raw_train) - _TRAINING_KEYS
-        if unknown:
-            errors.append(f"training: unknown key(s) {sorted(unknown)}")
-        else:
-            try:
-                training = TrainConfig(**raw_train)
-            except (TypeError, ValueError) as exc:
-                errors.append(f"training: {exc}")
-
-    discretization = DiscretizationConfig()
-    raw_disc = raw.get("discretization", {})
-    if not isinstance(raw_disc, Mapping):
-        errors.append("discretization: must be a mapping")
-    else:
-        kwargs = dict(raw_disc)
-        if "speed_thresholds" in kwargs:
-            kwargs["speed_thresholds"] = tuple(kwargs["speed_thresholds"])
-        try:
-            discretization = DiscretizationConfig(**kwargs)
-        except (TypeError, ValueError) as exc:
-            errors.append(f"discretization: {exc}")
+    network = _section("network", NetworkConfig, raw.get("network", {}), errors)
+    training = _section("training", TrainConfig, raw.get("training", {}), errors,
+                        hidden=frozenset({"val_metric"}))  # a callable hook
+    discretization = _section("discretization", DiscretizationConfig,
+                              raw.get("discretization", {}), errors)
 
     if errors:
         raise ConfigError(errors, str(path))

@@ -338,8 +338,10 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
     if any(s.needs_knowledge_for_training or s.needs_knowledge_for_inference
            for s in strategies) and knowledge is None:
         raise ValueError("knowledge model required by at least one strategy")
-    if not alpha_grid and any(s.searches_alpha for s in strategies):
-        raise ValueError("semantic_loss with alpha 0 needs a non-empty alpha grid")
+    if any(s.searches_alpha for s in strategies) and (
+            not alpha_grid or any(a < 1 for a in alpha_grid)):
+        raise ValueError("semantic_loss with alpha 0 needs a non-empty alpha grid "
+                         f"of positive integers, got {tuple(alpha_grid)}")
 
     users = sorted(encoded_by_user)
     plan = make_folds(users, fold_k, fold_seed)

@@ -1,0 +1,140 @@
+"""Experiment config reader: what loads, and what exits 2 naming its key."""
+
+from pathlib import Path
+
+import pytest
+import yaml
+
+from nesyhar.cli import main
+from nesyhar.config import ExperimentConfig, NetworkConfig, load_config
+from nesyhar.context import DiscretizationConfig
+from nesyhar.data import SyntheticConfig
+from nesyhar.losses import LossConfig
+from nesyhar.strategies import StrategyConfig, TrainConfig
+
+QUICK = Path("configs/quick.yaml")
+SMALL_NETWORK = NetworkConfig(
+    phone_filters=(6, 8), phone_kernels=(7, 5), watch_filters=(6, 8),
+    watch_kernels=(5, 3), pool=2, branch_dense=16, context_dense=8, trunk_dense=32,
+    dropout=0.1)
+
+
+def quick_with(tmp_path, **overrides):
+    """quick.yaml writing to tmp_path/out; a key "a.b" overrides a nested key."""
+    cfg = yaml.safe_load(QUICK.read_text())
+    cfg["output_dir"] = str(tmp_path / "out")
+    for dotted, value in overrides.items():
+        *parents, key = dotted.split(".")
+        section = cfg
+        for parent in parents:
+            section = section[parent]
+        section[key] = value
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+SEARCHING = [{"kind": "baseline"}, {"kind": "semantic_loss", "semantic_type": "All"}]
+
+MALFORMED = [
+    # window_seconds is top-level only; the synthetic copy used to be ignored
+    ("synthetic_window_seconds", {"dataset.synthetic.window_seconds": 2.0},
+     "dataset.synthetic: unknown key(s) ['window_seconds']"),
+    ("discretization_not_a_list", {"discretization": {"speed_thresholds": 1}},
+     "discretization: speed_thresholds must be a list"),
+    ("discretization_unknown_key", {"discretization": {"bogus": 1}},
+     "discretization: unknown key(s) ['bogus']"),
+    # alpha 0 is plain cross-entropy; the no-penalty comparison is baseline
+    ("alpha_grid_zero", {"strategies": SEARCHING, "alpha_grid": [0]},
+     "alpha_grid: must be a list of positive integers"),
+    ("alpha_grid_zero_among_positive", {"alpha_grid": [0, 3]},
+     "alpha_grid: must be a list of positive integers"),
+    # YAML booleans are Python ints, but not counts, seeds or fractions
+    ("seeds_bool", {"seeds": [True, False]}, "seeds: must be a non-empty list of integers"),
+    ("repetitions_bool", {"repetitions": True}, "repetitions: must be a positive integer"),
+    ("fold_k_bool", {"fold_k": True}, "fold_k: must be a positive integer"),
+    ("fold_seed_bool", {"fold_seed": False}, "fold_seed: must be an integer"),
+    ("alpha_grid_bool", {"strategies": SEARCHING, "alpha_grid": [True]},
+     "alpha_grid: must be a list of positive integers"),
+    ("fractions_bool", {"fractions": [True]}, "fractions: must be a non-empty list"),
+    ("window_seconds_bool", {"window_seconds": True}, "window_seconds: must be a positive"),
+    # values only the generated data can refute
+    ("network_pool_zero", {"network.pool": 0}, "network: phone: pool size must be >= 1"),
+    ("network_filters_not_a_list", {"network.phone_filters": 3},
+     "network: phone_filters must be a list"),
+    ("network_kernel_too_long", {"network.phone_kernels": [500, 5]},
+     "network: phone conv0 (kernel 500): input length 100 too short"),
+    ("fold_k_above_users", {"fold_k": 4},
+     "fold_k: 4 leaves no training users among the 3 with usable windows"),
+    ("fold_k_equals_users", {"fold_k": 3},
+     "fold_k: 3 leaves no training users among the 3 with usable windows"),
+]
+
+
+@pytest.mark.parametrize("overrides, fragment", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, overrides, fragment):
+    rc = main(["run", "--config", str(quick_with(tmp_path, **overrides))])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "1 config problem(s)" in err and fragment in err
+    assert not (tmp_path / "out").exists()
+
+
+def _expected(**fields):
+    """An ExperimentConfig of the small network, default discretization and
+    alpha_grid: [] that every committed config shares."""
+    return ExperimentConfig(
+        rules=Path("configs/synthetic.rules"), fold_k=1, window_seconds=4.0,
+        alpha_grid=(), network=SMALL_NETWORK, discretization=DiscretizationConfig(),
+        **fields)
+
+
+COMMITTED = {
+    "quick": (Path("configs/quick.yaml"), _expected(
+        output_dir=Path("out/quick"),
+        strategies=[StrategyConfig("baseline"),
+                    StrategyConfig("semantic_loss", LossConfig("All", 5.0))],
+        fractions=[1.0], repetitions=2, seeds=[11, 12], fold_seed=0,
+        synthetic=SyntheticConfig(users=3, windows_per_user=40, violation_rate=0.05,
+                                  noise=1.0, seed=7),
+        training=TrainConfig(epochs=30, batch_size=32, patience=5, learning_rate=0.001))),
+    "reference": (Path("configs/synthetic_reference.yaml"), _expected(
+        output_dir=Path("out/reference"),
+        strategies=[StrategyConfig("baseline"),
+                    StrategyConfig("semantic_loss", LossConfig("All", 2.0)),
+                    StrategyConfig("symbolic_features"),
+                    StrategyConfig("context_refinement")],
+        fractions=[0.1, 1.0], repetitions=5, seeds=[101, 102, 103, 104, 105], fold_seed=0,
+        synthetic=SyntheticConfig(users=6, windows_per_user=200, violation_rate=0.05,
+                                  noise=3.0, confusability=1.0, seed=7),
+        training=TrainConfig(epochs=200, batch_size=32, patience=5, learning_rate=0.001))),
+    "perfbench_grid": (Path("perfbench/grid.yaml"), _expected(
+        output_dir=Path("grid-out"),
+        strategies=[StrategyConfig("baseline"),
+                    StrategyConfig("semantic_loss", LossConfig("-PP", 1.0)),
+                    StrategyConfig("semantic_loss", LossConfig("All", 1.0)),
+                    StrategyConfig("symbolic_features"),
+                    StrategyConfig("context_refinement")],
+        fractions=[0.1, 1.0], repetitions=1, seeds=[21], fold_seed=22,
+        synthetic=SyntheticConfig(users=3, windows_per_user=60, violation_rate=0.05,
+                                  noise=1.0, seed=20),
+        training=TrainConfig(epochs=5, batch_size=32, patience=5, learning_rate=0.001))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED))
+def test_committed_configs_load_to_the_expected_experiment(tmp_path, name):
+    path, expected = COMMITTED[name]
+    if name == "perfbench_grid":
+        # the benchmark fills in what grid.yaml leaves null
+        raw = yaml.safe_load(path.read_text())
+        raw.update(rules="configs/synthetic.rules", output_dir="grid-out",
+                   seeds=[21], fold_seed=22)
+        raw["dataset"]["synthetic"]["seed"] = 20
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump(raw))
+    loaded = load_config(path)
+    assert loaded == expected
+    # equal and of the same types: 5 == 5.0, but an int alpha changes a label
+    assert repr(loaded) == repr(expected)

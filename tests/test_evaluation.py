@@ -273,6 +273,17 @@ def test_run_experiment_rejects_semantic_loss_without_alpha_or_grid(
             knowledge=tiny_model, train_cfg=FAST, alpha_grid=())
 
 
+@pytest.mark.parametrize("alpha_grid", [(0,), (0, 2), (3, -1)])
+def test_run_experiment_rejects_alpha_grid_entries_below_one(
+        tiny_model, tiny_net_spec, encoded_by_user, alpha_grid):
+    # alpha 0 in the grid would train plain cross-entropy under a semantic label
+    with pytest.raises(ValueError, match="positive integers"):
+        run_experiment(
+            encoded_by_user, [StrategyConfig("semantic_loss", LossConfig("All"))],
+            fractions=[1.0], repetitions=1, fold_k=1, seeds=[0], spec=tiny_net_spec,
+            knowledge=tiny_model, train_cfg=FAST, alpha_grid=alpha_grid)
+
+
 def test_grid_search_alpha_tie_breaks_low(tiny_model, tiny_net_spec, encoded_by_user):
     data = list(encoded_by_user.values())[0]
     strategy = StrategyConfig("semantic_loss", LossConfig("All", 0.0))
