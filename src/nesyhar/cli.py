@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -32,6 +33,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -243,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="check label/context consistency of a dataset")
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--rules", required=True, help="rule file path")
-    p.add_argument("--window-seconds", type=float, default=4.0)
+    p.add_argument("--window-seconds", type=_positive_float, default=4.0)
     p.set_defaults(fn=cmd_audit)
     return parser
 

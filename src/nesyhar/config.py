@@ -16,6 +16,7 @@ from .context import DiscretizationConfig
 from .data import SyntheticConfig
 from .losses import LossConfig
 from .nn import BranchSpec, NetworkSpec
+from .records import fits, from_mapping
 from .strategies import StrategyConfig, TrainConfig
 
 __all__ = ["ConfigError", "NetworkConfig", "ExperimentConfig", "load_config"]
@@ -79,41 +80,16 @@ class ExperimentConfig:
     discretization: DiscretizationConfig = field(default_factory=DiscretizationConfig)
 
 
-_TOP_LEVEL_KEYS = {
-    "rules", "output_dir", "window_seconds", "dataset", "strategies", "fractions",
-    "fold_k", "fold_seed", "repetitions", "seeds", "alpha_grid", "network",
-    "training", "discretization",
-}
+# ExperimentConfig's fields, with one `dataset` section for where the data comes from
+_TOP_LEVEL_KEYS = ({f.name for f in fields(ExperimentConfig)} - {"dataset_dir", "synthetic"}
+                   | {"dataset"})
 
 
-def _is_int(value: Any) -> bool:
-    """A YAML integer: `true` is a Python int too, but never a count or a seed."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _section(where: str, cls: type, raw: Any, errors: list[str],
-             hidden: frozenset[str] = frozenset(), **fixed: Any) -> Any:
-    """Build dataclass ``cls`` from one YAML mapping, or record why not.
-
-    Every field except ``hidden`` and ``fixed`` ones may be set; YAML lists
-    become tuples, and the dataclass's own checks are reported under ``where``.
-    """
-    if not isinstance(raw, Mapping):
-        errors.append(f"{where}: must be a mapping")
-        return None
-    unknown = set(raw) - ({f.name for f in fields(cls)} - hidden - set(fixed))
-    if unknown:
-        errors.append(f"{where}: unknown key(s) {sorted(unknown)}")
-        return None
-    tuples = [f.name for f in fields(cls) if isinstance(f.default, tuple)]
-    not_lists = [k for k in tuples if k in raw and not isinstance(raw[k], list)]
-    if not_lists:
-        errors.append(f"{where}: {', '.join(not_lists)} must be a list")
-        return None
+def _section(where: str, cls: type, raw: Any, errors: list[str], **fixed: Any) -> Any:
+    """Build dataclass ``cls`` from one YAML mapping, or record why not."""
     try:
-        return cls(**fixed, **{k: tuple(v) if isinstance(v, list) else v
-                               for k, v in raw.items()})
-    except (TypeError, ValueError) as exc:
+        return from_mapping(cls, raw, fixed=fixed)
+    except ValueError as exc:
         errors.append(f"{where}: {exc}")
         return None
 
@@ -128,15 +104,12 @@ def _parse_strategies(raw: Any, errors: list[str]) -> list[StrategyConfig]:
         if not isinstance(entry, Mapping) or "kind" not in entry:
             errors.append(f"{where}: each strategy needs a 'kind'")
             continue
-        extra = set(entry) - {"kind", "semantic_type", "alpha"}
-        if extra:
-            errors.append(f"{where}: unknown key(s) {sorted(extra)}")
-        if entry["kind"] != "semantic_loss" and ("semantic_type" in entry or "alpha" in entry):
+        loss = {key: value for key, value in entry.items() if key != "kind"}
+        if entry["kind"] != "semantic_loss" and loss.keys() & {"semantic_type", "alpha"}:
             errors.append(f"{where}: semantic_type/alpha only apply to semantic_loss")
             continue
         try:
-            loss = LossConfig(entry.get("semantic_type", "none"), float(entry.get("alpha", 0)))
-            strategies.append(StrategyConfig(entry["kind"], loss))
+            strategies.append(StrategyConfig(entry["kind"], from_mapping(LossConfig, loss)))
         except (TypeError, ValueError) as exc:
             errors.append(f"{where}: {exc}")
     return strategies
@@ -171,7 +144,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     output_dir = Path(str(raw.get("output_dir", "out")))
 
     window_seconds = raw.get("window_seconds", 4.0)
-    if not (_is_int(window_seconds) or isinstance(window_seconds, float)) or window_seconds <= 0:
+    if not fits(window_seconds, float) or window_seconds <= 0:
         errors.append("window_seconds: must be a positive number")
         window_seconds = 4.0
 
@@ -192,31 +165,31 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     fractions = raw.get("fractions", [1.0])
     if not isinstance(fractions, list) or not fractions or not all(
-            (_is_int(f) or isinstance(f, float)) and 0 < f <= 1 for f in fractions):
+            fits(f, float) and 0 < f <= 1 for f in fractions):
         errors.append("fractions: must be a non-empty list of numbers in (0, 1]")
         fractions = [1.0]
 
     repetitions = raw.get("repetitions", 5)
-    if not _is_int(repetitions) or repetitions < 1:
+    if not fits(repetitions, int) or repetitions < 1:
         errors.append("repetitions: must be a positive integer")
         repetitions = 1
 
     seeds = raw.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(fits(s, int) for s in seeds):
         errors.append("seeds: must be a non-empty list of integers")
     elif len(seeds) < repetitions:
         errors.append(f"seeds: need at least one per repetition "
                       f"({len(seeds)} given, {repetitions} repetitions)")
 
     fold_k = raw.get("fold_k", 1)
-    if not _is_int(fold_k) or fold_k < 1:
+    if not fits(fold_k, int) or fold_k < 1:
         errors.append("fold_k: must be a positive integer")
     fold_seed = raw.get("fold_seed", 0)
-    if not _is_int(fold_seed):
+    if not fits(fold_seed, int):
         errors.append("fold_seed: must be an integer")
 
     alpha_grid = raw.get("alpha_grid", list(DEFAULT_ALPHA_GRID))
-    if not isinstance(alpha_grid, list) or not all(_is_int(a) and a >= 1 for a in alpha_grid):
+    if not isinstance(alpha_grid, list) or not all(fits(a, int) and a >= 1 for a in alpha_grid):
         errors.append("alpha_grid: must be a list of positive integers "
                       "(the no-penalty comparison is the baseline strategy)")
         alpha_grid = list(DEFAULT_ALPHA_GRID)
@@ -227,7 +200,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     network = _section("network", NetworkConfig, raw.get("network", {}), errors)
     training = _section("training", TrainConfig, raw.get("training", {}), errors,
-                        hidden=frozenset({"val_metric"}))  # a callable hook
+                        val_metric=None)  # a callable hook
     discretization = _section("discretization", DiscretizationConfig,
                               raw.get("discretization", {}), errors)
 

@@ -77,7 +77,7 @@ class DiscretizationConfig:
     counts as height_variation=null.
     """
 
-    speed_thresholds: tuple[float, float, float] = (0.1, 2.0, 7.0)
+    speed_thresholds: tuple[float, ...] = (0.1, 2.0, 7.0)
     height_epsilon: float = 0.05
     place_map: Mapping[str, str] = field(default_factory=lambda: dict(_DEFAULT_PLACE_MAP))
     place_location: Mapping[str, str] = field(

@@ -314,6 +314,12 @@ class SyntheticConfig:
             raise ValueError("confusability must be in [0, 1]")
         if not 0.0 < self.unobserved_bias <= 1.0:
             raise ValueError("unobserved_bias must be in (0, 1]")
+        if not 0.0 <= self.noise < math.inf:
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        if not (0.0 < self.phone_rate < math.inf and 0.0 < self.watch_rate < math.inf):
+            raise ValueError("phone_rate and watch_rate must be positive and finite")
+        if self.phone_channels < 1 or self.watch_channels < 1:
+            raise ValueError("phone_channels and watch_channels must be >= 1")
 
 
 _MAX_STATE_SPACE = 200_000

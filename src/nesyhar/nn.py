@@ -43,6 +43,8 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .records import from_mapping
+
 __all__ = [
     "BranchSpec",
     "NetworkSpec",
@@ -101,6 +103,10 @@ class BranchSpec:
                                    f"{len(self.kernels)} kernel sizes")
         if not self.filters:
             raise NetworkSpecError(f"{name}: at least one conv block required")
+        for key in ("channels", "length", "filters", "kernels", "dense"):
+            value = getattr(self, key)
+            if min(value if isinstance(value, tuple) else (value,)) < 1:
+                raise NetworkSpecError(f"{name}: {key} must be >= 1, got {value}")
         if self.pool < 1:
             raise NetworkSpecError(f"{name}: pool size must be >= 1")
         lengths = []
@@ -138,8 +144,9 @@ class NetworkSpec:
             raise NetworkSpecError(f"need at least 2 classes, got {self.classes}")
         if not 0.0 <= self.dropout < 1.0:
             raise NetworkSpecError(f"dropout rate must be in [0, 1), got {self.dropout}")
-        if self.context_size < 1:
-            raise NetworkSpecError("context_size must be >= 1")
+        for key in ("context_size", "context_dense", "trunk_dense"):
+            if getattr(self, key) < 1:
+                raise NetworkSpecError(f"{key} must be >= 1, got {getattr(self, key)}")
         self.phone.stage_lengths("phone")
         self.watch.stage_lengths("watch")
 
@@ -181,19 +188,11 @@ class NetworkSpec:
         yield "out.b", (self.classes,), 1
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "NetworkSpec":
-        def branch(b):
-            return BranchSpec(channels=b["channels"], length=b["length"],
-                              filters=tuple(b["filters"]), kernels=tuple(b["kernels"]),
-                              pool=b["pool"], dense=b["dense"])
-        return cls(phone=branch(d["phone"]), watch=branch(d["watch"]),
-                   context_size=d["context_size"], classes=d["classes"],
-                   context_dense=d["context_dense"], trunk_dense=d["trunk_dense"],
-                   dropout=d["dropout"], infusion=d["infusion"])
+        return from_mapping(cls, d, complete=True)
 
 
 class Parameters(Mapping):

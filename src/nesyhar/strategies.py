@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -31,9 +31,10 @@ import numpy as np
 
 from .context import DiscretizationConfig
 from .data import EncodedDataset, EncodedSample
-from .knowledge import ContextDimension, ContextVocabulary, KnowledgeModel
+from .knowledge import ContextVocabulary, KnowledgeModel
 from .losses import LossConfig, combined_loss_batch
 from .nn import AdamState, NetworkSpec, Parameters, adam_step, backward, build_network, forward
+from .records import from_mapping
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -167,6 +168,8 @@ class TrainedModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.kind not in STRATEGY_KINDS:
+            raise ValueError(f"kind must be one of {STRATEGY_KINDS}, got {self.kind!r}")
         if self.spec.infusion != (self.kind == "symbolic_features"):
             raise ValueError("spec has an infusion input iff kind is symbolic_features")
 
@@ -344,52 +347,35 @@ def predict(model: TrainedModel, sample: EncodedSample,
 _CHECKPOINT_VERSION = 1
 
 
-def _vocab_to_dict(vocab: ContextVocabulary) -> list[dict]:
-    return [{"name": d.name, "values": list(d.values), "exclusive": d.exclusive}
-            for d in vocab.dimensions]
-
-
-def _vocab_from_dict(dims: list[dict]) -> ContextVocabulary:
-    return ContextVocabulary(tuple(
-        ContextDimension(d["name"], tuple(d["values"]), d["exclusive"]) for d in dims))
-
-
 def save_model(model: TrainedModel, path: str | Path) -> Path:
-    """Write a checkpoint (.npz); the parameter arrays round-trip bit-exactly."""
+    """Write a checkpoint (.npz); the parameter arrays round-trip bit-exactly.
+    Its JSON ``meta`` holds every other field, the vocabulary as its dimensions."""
     path = Path(path)
-    meta = {
-        "version": _CHECKPOINT_VERSION,
-        "kind": model.kind,
-        "spec": model.spec.to_dict(),
-        "activities": list(model.activities),
-        "vocabulary": _vocab_to_dict(model.vocabulary),
-        "loss": {"semantic_type": model.loss.semantic_type, "alpha": model.loss.alpha},
-        "window_seconds": model.window_seconds,
-        "discretization": None if model.discretization is None else {
-            "speed_thresholds": list(model.discretization.speed_thresholds),
-            "height_epsilon": model.discretization.height_epsilon,
-            "place_map": dict(model.discretization.place_map),
-            "place_location": dict(model.discretization.place_location),
-            "weather_map": dict(model.discretization.weather_map),
-        },
-        "meta": model.meta,
-    }
+    meta = {f.name: getattr(model, f.name) for f in fields(model) if f.name != "params"}
+    meta.update(version=_CHECKPOINT_VERSION, vocabulary=model.vocabulary.dimensions)
     arrays = {f"param:{name}": value for name, value in model.params.items()}
-    np.savez(path, meta=json.dumps(meta, sort_keys=True), **arrays)
+    np.savez(path, meta=json.dumps(meta, sort_keys=True, default=asdict), **arrays)
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    """Load a checkpoint written by :func:`save_model`; its parameter names and
-    shapes must match its network spec, whose layout the loaded parameters take."""
+    """Load a checkpoint written by :func:`save_model`; every field must be
+    present and of its declared type, and the parameter names and shapes must
+    match the network spec, whose layout the loaded parameters take."""
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(str(archive["meta"]))
         if meta.get("version") != _CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
         params = {name[len("param:"):]: archive[name] for name in archive.files
                   if name.startswith("param:")}
-    spec = NetworkSpec.from_dict(meta["spec"])
-    shapes = {name: shape for name, shape, _ in spec.parameter_shapes()}
+    record = {key: {"dimensions": value} if key == "vocabulary" else value
+              for key, value in meta.items() if key != "version"}
+    try:
+        # the parameters are set below, in the spec's layout
+        model = from_mapping(TrainedModel, record, fixed={"params": None}, complete=True)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    shapes = {name: shape for name, shape, _ in model.spec.parameter_shapes()}
     if params.keys() != shapes.keys():
         name = sorted(params.keys() ^ shapes.keys())[0]
         raise ValueError(f"{path}: parameter {name!r} is "
@@ -398,21 +384,5 @@ def load_model(path: str | Path) -> TrainedModel:
         if params[name].shape != shape:
             raise ValueError(f"{path}: parameter {name!r} has shape {params[name].shape}, "
                              f"the network spec expects {shape}")
-    disc = None
-    if meta["discretization"] is not None:
-        d = meta["discretization"]
-        disc = DiscretizationConfig(
-            speed_thresholds=tuple(d["speed_thresholds"]),
-            height_epsilon=d["height_epsilon"], place_map=d["place_map"],
-            place_location=d["place_location"], weather_map=d["weather_map"])
-    return TrainedModel(
-        kind=meta["kind"],
-        spec=spec,
-        params=Parameters.pack({name: params[name] for name in shapes}),
-        activities=tuple(meta["activities"]),
-        vocabulary=_vocab_from_dict(meta["vocabulary"]),
-        loss=LossConfig(meta["loss"]["semantic_type"], meta["loss"]["alpha"]),
-        window_seconds=meta["window_seconds"],
-        discretization=disc,
-        meta=meta["meta"],
-    )
+    model.params = Parameters.pack({name: params[name] for name in shapes})
+    return model

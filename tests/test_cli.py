@@ -90,6 +90,14 @@ def test_audit_zero_violation_is_fully_consistent(tmp_path, capsys):
     assert "60/60 (100.0%)" in out
 
 
+@pytest.mark.parametrize("seconds", ["0", "-4", "nan", "inf"])
+def test_audit_window_seconds_must_be_positive_and_finite(tmp_path, seconds):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--dataset", str(tmp_path), "--rules", "configs/synthetic.rules",
+              "--window-seconds", seconds])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------

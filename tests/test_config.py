@@ -68,6 +68,39 @@ MALFORMED = [
      "fold_k: 4 leaves no training users among the 3 with usable windows"),
     ("fold_k_equals_users", {"fold_k": 3},
      "fold_k: 3 leaves no training users among the 3 with usable windows"),
+    # every section value has its field's type: no booleans or fractions in
+    # counts, no booleans in numbers
+    ("training_epochs_bool", {"training.epochs": True},
+     "training: epochs must be an integer, got True"),
+    ("training_learning_rate_bool", {"training.learning_rate": True},
+     "training: learning_rate must be a number, got True"),
+    ("discretization_threshold_bool", {"discretization": {"speed_thresholds": [0.1, True, 7]}},
+     "discretization: speed_thresholds[1] must be a number, got True"),
+    ("training_epochs_fraction", {"training.epochs": 2.5},
+     "training: epochs must be an integer, got 2.5"),
+    ("network_pool_float", {"network.pool": 2.0}, "network: pool must be an integer, got 2.0"),
+    ("synthetic_users_bool", {"dataset.synthetic.users": True},
+     "dataset.synthetic: users must be an integer, got True"),
+    # layer sizes are at least 1
+    ("network_filter_zero", {"network.phone_filters": [0, 8]},
+     "network: phone: filters must be >= 1, got (0, 8)"),
+    ("network_kernel_zero", {"network.phone_kernels": [0, 5]},
+     "network: phone: kernels must be >= 1, got (0, 5)"),
+    ("network_trunk_dense_zero", {"network.trunk_dense": 0},
+     "network: trunk_dense must be >= 1, got 0"),
+    ("network_branch_dense_zero", {"network.branch_dense": 0},
+     "network: phone: dense must be >= 1, got 0"),
+    ("network_context_dense_zero", {"network.context_dense": 0},
+     "network: context_dense must be >= 1, got 0"),
+    # synthetic values the generator cannot use
+    ("synthetic_noise_negative", {"dataset.synthetic.noise": -1.0},
+     "dataset.synthetic: noise must be finite and >= 0, got -1.0"),
+    ("synthetic_noise_nan", {"dataset.synthetic.noise": float("nan")},
+     "dataset.synthetic: noise must be finite and >= 0, got nan"),
+    ("synthetic_phone_rate_zero", {"dataset.synthetic.phone_rate": 0.0},
+     "dataset.synthetic: phone_rate and watch_rate must be positive and finite"),
+    ("synthetic_phone_channels_zero", {"dataset.synthetic.phone_channels": 0},
+     "dataset.synthetic: phone_channels and watch_channels must be >= 1"),
 ]
 
 

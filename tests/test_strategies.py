@@ -1,9 +1,12 @@
+import copy
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import TINY_RULES, make_encoded
+from nesyhar.context import DiscretizationConfig
 from nesyhar.knowledge import KnowledgeModel, parse_knowledge
 from nesyhar.losses import LossConfig
 from nesyhar.nn import INFER_BLOCK, Parameters, build_network, parameter_count
@@ -373,6 +376,78 @@ def test_load_model_rejects_parameters_not_matching_spec(tiny_model, tiny_net_sp
     path = save_model(model, tmp_path / "model.npz")
     with pytest.raises(ValueError, match=message):
         load_model(path)
+
+
+SMALL_DISCRETIZATION = DiscretizationConfig(
+    speed_thresholds=(0.5, 1.5, 6.0), height_epsilon=0.1, place_map={"house": "home"},
+    place_location={"home": "indoor"}, weather_map={"drizzle": "rain"})
+
+# the checkpoint `meta` of checkpoint_model(), written out field by field
+EXPECTED_META = {
+    "version": 1,
+    "kind": "semantic_loss",
+    "spec": {"phone": {"channels": 2, "length": 12, "filters": [3], "kernels": [3], "pool": 2,
+                       "dense": 5},
+             "watch": {"channels": 1, "length": 10, "filters": [2], "kernels": [4], "pool": 2,
+                       "dense": 4},
+             "context_size": 5, "classes": 4, "context_dense": 3, "trunk_dense": 6,
+             "dropout": 0.1, "infusion": False},
+    "activities": ["a_walk", "a_run", "a_ride", "a_rest"],
+    "vocabulary": [{"name": "motion", "values": ["still", "slow", "fast"], "exclusive": True},
+                   {"name": "place", "values": ["inside", "outside"], "exclusive": True}],
+    "loss": {"semantic_type": "0P", "alpha": 4.0},
+    "window_seconds": 4.0,
+    "discretization": {"speed_thresholds": [0.5, 1.5, 6.0], "height_epsilon": 0.1,
+                       "place_map": {"house": "home"}, "place_location": {"home": "indoor"},
+                       "weather_map": {"drizzle": "rain"}},
+    "meta": {"epochs_run": 3, "best_val_loss": 0.25},
+}
+
+
+def checkpoint_model(tiny_model, tiny_net_spec):
+    return TrainedModel("semantic_loss", tiny_net_spec, build_network(tiny_net_spec, 0),
+                        tiny_model.activity_names, tiny_model.vocabulary, LossConfig("0P", 4.0),
+                        window_seconds=4.0, discretization=SMALL_DISCRETIZATION,
+                        meta={"epochs_run": 3, "best_val_loss": 0.25})
+
+
+def test_save_model_meta_is_the_written_out_record(tiny_model, tiny_net_spec, tmp_path):
+    path = save_model(checkpoint_model(tiny_model, tiny_net_spec), tmp_path / "model.npz")
+    with np.load(path) as archive:
+        text = str(archive["meta"])
+    assert json.loads(text) == EXPECTED_META
+    assert text == json.dumps(EXPECTED_META, sort_keys=True)
+    loaded = load_model(path)
+    assert loaded.discretization == SMALL_DISCRETIZATION
+    assert loaded.loss == LossConfig("0P", 4.0)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda m: m["discretization"].update(bogus=1),
+                 r"discretization: unknown key\(s\) \['bogus'\]", id="unknown-discretization-key"),
+    pytest.param(lambda m: m["vocabulary"][0].update(exclusive="no"),
+                 r"vocabulary.dimensions\[0\].exclusive must be true or false, got 'no'",
+                 id="exclusive-string"),
+    pytest.param(lambda m: m["loss"].update(alpha="x"),
+                 "loss.alpha must be a number, got 'x'", id="alpha-string"),
+    pytest.param(lambda m: m["discretization"].pop("height_epsilon"),
+                 r"discretization: missing key\(s\) \['height_epsilon'\]",
+                 id="missing-discretization-field"),
+    pytest.param(lambda m: m["spec"]["phone"].update(filters=[True]),
+                 r"spec.phone.filters\[0\] must be an integer, got True", id="bool-filter"),
+    pytest.param(lambda m: m.update(kind="bogus"), "kind must be one of .*, got 'bogus'",
+                 id="unknown-kind"),
+])
+def test_load_model_rejects_malformed_meta_naming_the_file(tiny_model, tiny_net_spec, tmp_path,
+                                                           edit, message):
+    meta = copy.deepcopy(EXPECTED_META)
+    edit(meta)
+    path = tmp_path / "bad.npz"
+    params = build_network(tiny_net_spec, 0)
+    np.savez(path, meta=json.dumps(meta), **{f"param:{n}": v for n, v in params.items()})
+    with pytest.raises(ValueError, match=message) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_trained_model_invariant():
