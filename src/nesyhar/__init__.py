@@ -16,9 +16,8 @@ from .data import (
     SensorStream,
     SyntheticConfig,
     UserDataset,
-    Window,
+    Windows,
     downsample_training,
-    encode,
     encode_user_datasets,
     encode_windows,
     generate_synthetic,

@@ -169,11 +169,11 @@ def cmd_classify(args) -> int:
                 continue
             encoded = encode_windows(windows, model.vocabulary, model.activities)
             preds, probs, diagnostics = predict_many(model, encoded, knowledge)
-            for i, window in enumerate(windows):
+            for i in range(len(windows)):
                 record = {
-                    "user": window.user,
-                    "t_start": window.t_start,
-                    "t_end": window.t_end,
+                    "user": windows.user,
+                    "t_start": float(windows.t_start[i]),
+                    "t_end": float(windows.t_end[i]),
                     "prediction": model.activities[int(preds[i])],
                     "probs": [round(float(p), 9) for p in probs[i]],
                 }
@@ -199,12 +199,13 @@ def cmd_audit(args) -> int:
     total = consistent = 0
     per_activity: dict[str, list[int]] = {}
     for ds in datasets:
-        for window in segment(ds, args.window_seconds, disc, model.vocabulary):
+        windows = segment(ds, args.window_seconds, disc, model.vocabulary)
+        for label, state in zip(windows.labels, windows.states):
             total += 1
-            ok = window.label in model.consistent_activities(window.state)
+            ok = label in model.consistent_activities(state)
             consistent += ok
-            per_activity.setdefault(window.label, [0, 0])[0] += ok
-            per_activity[window.label][1] += 1
+            per_activity.setdefault(label, [0, 0])[0] += ok
+            per_activity[label][1] += 1
     if total == 0:
         raise UsageError("dataset contains no labeled windows")
     for name in sorted(per_activity):

@@ -4,8 +4,11 @@ Per-user raw data consists of two inertial streams (phone and watch), a list of
 raw context records, and activity annotations. :func:`segment` cuts the streams
 into fixed-length non-overlapping windows, labels each window by the annotation
 with the largest temporal overlap, and aggregates raw context records into a
-discrete context state. :func:`encode_windows` packs labeled windows into the
-columnar :class:`EncodedDataset` consumed by training and evaluation.
+discrete context state. It returns one columnar :class:`Windows` record per
+user, in time linear in the windows, annotations and records: the samples are
+one reshape of each stream, and annotations and records find their windows by
+binary search on the window bounds. :func:`encode_windows` turns that record
+into the :class:`EncodedDataset` consumed by training and evaluation.
 
 The synthetic generator produces datasets whose inertial channels follow
 per-activity band-limited signatures and whose context states are consistent
@@ -29,7 +32,8 @@ import csv
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -54,11 +58,10 @@ __all__ = [
     "Annotation",
     "SensorStream",
     "UserDataset",
-    "Window",
+    "Windows",
     "EncodedSample",
     "EncodedDataset",
     "segment",
-    "encode",
     "encode_windows",
     "encode_user_datasets",
     "SyntheticConfig",
@@ -122,19 +125,6 @@ class UserDataset:
 
 
 @dataclass(frozen=True)
-class Window:
-    """One fixed-length window with aggregated context and (optionally) a label."""
-
-    user: str
-    t_start: float
-    t_end: float
-    phone: np.ndarray
-    watch: np.ndarray
-    state: ContextState
-    label: str | None
-
-
-@dataclass(frozen=True)
 class EncodedSample:
     """Network-ready form of one window; context is multi-hot over the vocabulary."""
 
@@ -142,6 +132,22 @@ class EncodedSample:
     watch: np.ndarray
     context: np.ndarray
     label: int | None
+
+
+@dataclass(frozen=True)
+class Windows:
+    """One user's windows in time order, column by column (entry i is window i)."""
+
+    user: str
+    t_start: np.ndarray  # (n,)
+    t_end: np.ndarray    # (n,)
+    phone: np.ndarray    # (n, channels, samples)
+    watch: np.ndarray
+    states: tuple[ContextState, ...]
+    labels: tuple[str | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass
@@ -192,72 +198,72 @@ class EncodedDataset:
 # ---------------------------------------------------------------------------
 
 def segment(ds: UserDataset, z: float, cfg: DiscretizationConfig,
-            vocab: ContextVocabulary, keep_unlabeled: bool = False) -> list[Window]:
+            vocab: ContextVocabulary, keep_unlabeled: bool = False) -> Windows:
     """Cut a user's streams into consecutive non-overlapping z-second windows.
 
     Each window is labeled by the annotation with the largest temporal overlap
     (ties to the earlier annotation); windows without any overlapping
     annotation are dropped unless keep_unlabeled is set. Windows not fully
-    covered by both streams are dropped with a warning.
+    covered by both streams are dropped with a warning. A context record
+    belongs to the window with t_start <= t < t_end. Every step is a sweep
+    over the annotations, the records or the windows, never a product of two.
     """
-    if z <= 0:
-        raise ValueError("window length must be positive")
-    n_phone = int(round(z * ds.phone.rate))
-    n_watch = int(round(z * ds.watch.rate))
-    duration = max(ds.phone.duration, ds.watch.duration)
-    count = int(duration // z)
+    if not 0 < z < math.inf:
+        raise ValueError("window length must be positive and finite")
+    streams = [(s.values, int(round(z * s.rate))) for s in (ds.phone, ds.watch)]
+    count = int(max(ds.phone.duration, ds.watch.duration) // z)
+    # the covered windows are a prefix; windows of 0 samples never run out of stream
+    covered = min([count] + [v.shape[1] // n for v, n in streams if n])
+    if covered < count:
+        log.warning("user %s: %d window(s) in [%g, %g) not covered by both streams; dropped",
+                    ds.user, count - covered, covered * z, count * z)
+    bounds = np.arange(covered + 1) * z
+    starts, ends = bounds[:-1], bounds[1:]
+
+    best, label_of = np.zeros(covered), np.full(covered, -1)
     annotations = sorted(ds.annotations, key=lambda a: (a.t_start, a.t_end))
+    for i, a in enumerate(annotations):
+        lo = max(int(np.searchsorted(bounds, a.t_start, side="right")) - 1, 0)
+        hi = min(int(np.searchsorted(bounds, a.t_end, side="left")), covered)
+        overlap = np.minimum(ends[lo:hi], a.t_end) - np.maximum(starts[lo:hi], a.t_start)
+        better = overlap > best[lo:hi]
+        best[lo:hi][better] = overlap[better]
+        label_of[lo:hi][better] = i
+    kept = np.arange(covered) if keep_unlabeled else np.flatnonzero(label_of >= 0)
 
-    windows: list[Window] = []
-    for w in range(count):
-        t_start, t_end = w * z, (w + 1) * z
-        if (w + 1) * n_phone > ds.phone.values.shape[1] or \
-                (w + 1) * n_watch > ds.watch.values.shape[1]:
-            log.warning("user %s: window [%g, %g) not covered by both streams; dropped",
-                        ds.user, t_start, t_end)
-            continue
-        label = None
-        best = 0.0
-        for a in annotations:
-            overlap = min(t_end, a.t_end) - max(t_start, a.t_start)
-            if overlap > best:
-                best = overlap
-                label = a.activity
-        if label is None and not keep_unlabeled:
-            continue
-        records = [r for r in ds.context_records if t_start <= r.timestamp < t_end]
-        state = aggregate_context(records, cfg, vocab)
-        windows.append(Window(
-            user=ds.user, t_start=t_start, t_end=t_end,
-            phone=ds.phone.values[:, w * n_phone:(w + 1) * n_phone].copy(),
-            watch=ds.watch.values[:, w * n_watch:(w + 1) * n_watch].copy(),
-            state=state, label=label))
-    return windows
+    times = np.array([r.timestamp for r in ds.context_records], dtype=np.float64)
+    window_of = np.searchsorted(bounds, times, side="right") - 1
+    inside = np.flatnonzero((window_of >= 0) & (window_of < covered) & ~np.isnan(times))
+    inside = inside[np.argsort(window_of[inside], kind="stable")]
+    first = np.searchsorted(window_of[inside], np.arange(covered + 1))
+    records = ds.context_records
+    states = tuple(aggregate_context([records[r] for r in inside[first[w]:first[w + 1]]], cfg,
+                                     vocab) for w in kept.tolist())
+
+    phone, watch = (np.ascontiguousarray(
+        v[:, :covered * n].reshape(v.shape[0], covered, n).transpose(1, 0, 2)[kept])
+        for v, n in streams)
+    return Windows(ds.user, starts[kept], ends[kept], phone, watch, states,
+                   tuple(None if label_of[w] < 0 else annotations[label_of[w]].activity
+                         for w in kept.tolist()))
 
 
-def encode(window: Window, vocab: ContextVocabulary,
-           activities: Sequence[str]) -> EncodedSample:
-    """Turn one window into network-ready tensors plus a label index."""
-    label = None
-    if window.label is not None:
-        try:
-            label = list(activities).index(window.label)
-        except ValueError:
-            raise KeyError(f"label {window.label!r} not in the activity vocabulary") from None
-    return EncodedSample(window.phone, window.watch, vocab.encode_state(window.state), label)
-
-
-def encode_windows(windows: Sequence[Window], vocab: ContextVocabulary,
+def encode_windows(windows: Windows, vocab: ContextVocabulary,
                    activities: Sequence[str]) -> EncodedDataset:
-    if not windows:
+    """Turn one user's windows into network-ready tensors plus label indices."""
+    if not len(windows):
         raise ValueError("no windows to encode")
-    samples = [encode(w, vocab, activities) for w in windows]
+    index = {None: -1, **{name: i for i, name in enumerate(activities)}}
+    try:
+        labels = np.array([index[label] for label in windows.labels], dtype=np.int64)
+    except KeyError as exc:
+        raise KeyError(f"label {exc.args[0]!r} not in the activity vocabulary") from None
     return EncodedDataset(
-        phone=np.stack([s.phone for s in samples]),
-        watch=np.stack([s.watch for s in samples]),
-        context=np.stack([s.context for s in samples]),
-        labels=np.array([-1 if s.label is None else s.label for s in samples], dtype=np.int64),
-        users=tuple(w.user for w in windows),
+        phone=windows.phone,
+        watch=windows.watch,
+        context=np.stack([vocab.encode_state(s) for s in windows.states]),
+        labels=labels,
+        users=(windows.user,) * len(windows),
         activities=tuple(activities),
         vocabulary=vocab,
     )
@@ -365,17 +371,12 @@ class _StateRealizer:
         }
         self._height_value = {"null": 0.0, "positive": -4.0 * cfg.height_epsilon,
                               "negative": 4.0 * cfg.height_epsilon}
-        # provider string for each mappable place / weather value
-        self._place_provider = {}
-        for provider in sorted(cfg.place_map):
-            self._place_provider.setdefault(cfg.place_map[provider], provider)
-        self._weather_provider = {}
-        for provider in sorted(cfg.weather_map):
-            self._weather_provider.setdefault(cfg.weather_map[provider], provider)
-        self._location_place = {}
-        for place in sorted(cfg.place_location):
-            if place in self._place_provider:
-                self._location_place.setdefault(cfg.place_location[place], place)
+        # for each mappable place / weather value the first provider string, in
+        # sorted order, that maps to it (written last, so it wins)
+        self._place_provider = {v: k for k, v in sorted(cfg.place_map.items(), reverse=True)}
+        self._weather_provider = {v: k for k, v in sorted(cfg.weather_map.items(), reverse=True)}
+        self._location_place = {v: k for k, v in sorted(cfg.place_location.items(), reverse=True)
+                                if k in self._place_provider}
 
     def realize(self, state: ContextState, timestamp: float) -> RawContextRecord:
         fields: dict = {}
@@ -579,49 +580,41 @@ _CONTEXT_HEADER = "# nesyhar context-records v1"
 _STREAM_HEADER = "# nesyhar stream v1"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _text(value) -> str:
+    """One CSV field: empty for None, true/false for a flag, repr for a number
+    (which loads back as the same float)."""
+    if value is None or isinstance(value, str):
+        return value or ""
+    return str(value).lower() if isinstance(value, bool) else repr(float(value))
+
+
+def _write_csv(path: Path, header: str, columns: Sequence[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        f.write(header + "\n")
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_dataset(datasets: Sequence[UserDataset], directory: str | Path) -> Path:
     """Write datasets in the documented directory layout; returns the directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    with open(directory / "annotations.csv", "w", newline="") as f:
-        f.write(_ANNOTATIONS_HEADER + "\n")
-        writer = csv.writer(f)
-        writer.writerow(["user", "activity", "t_start", "t_end"])
-        for ds in datasets:
-            for a in ds.annotations:
-                writer.writerow([a.user, a.activity, _fmt(a.t_start), _fmt(a.t_end)])
-
-    with open(directory / "context.csv", "w", newline="") as f:
-        f.write(_CONTEXT_HEADER + "\n")
-        writer = csv.writer(f)
-        writer.writerow(["user", "t", "speed", "pressure_delta", "semantic_place",
-                         "transport_route_nearby", "weather"])
-        for ds in datasets:
-            for r in ds.context_records:
-                writer.writerow([
-                    ds.user, _fmt(r.timestamp),
-                    "" if r.speed is None else _fmt(r.speed),
-                    "" if r.pressure_delta is None else _fmt(r.pressure_delta),
-                    "" if r.semantic_place is None else r.semantic_place,
-                    "" if r.transport_route_nearby is None
-                    else str(r.transport_route_nearby).lower(),
-                    "" if r.weather is None else r.weather,
-                ])
-
+    _write_csv(directory / "annotations.csv", _ANNOTATIONS_HEADER,
+               ["user", "activity", "t_start", "t_end"],
+               (list(map(_text, astuple(a))) for ds in datasets for a in ds.annotations))
+    _write_csv(directory / "context.csv", _CONTEXT_HEADER,
+               ["user", "t", "speed", "pressure_delta", "semantic_place",
+                "transport_route_nearby", "weather"],
+               ([ds.user, *map(_text, astuple(r))]
+                for ds in datasets for r in ds.context_records))
     for ds in datasets:
         for kind, stream in (("phone", ds.phone), ("watch", ds.watch)):
-            with open(directory / f"{kind}_{ds.user}.csv", "w", newline="") as f:
-                f.write(f"{_STREAM_HEADER} rate={_fmt(stream.rate)}\n")
-                writer = csv.writer(f)
-                writer.writerow(["t"] + list(stream.channels))
-                for i in range(stream.values.shape[1]):
-                    writer.writerow([_fmt(i / stream.rate)]
-                                    + [_fmt(v) for v in stream.values[:, i]])
+            # str(float) is repr(float): the same text as _text, without a call per value
+            times = np.arange(stream.values.shape[1]) / stream.rate
+            _write_csv(directory / f"{kind}_{ds.user}.csv",
+                       f"{_STREAM_HEADER} rate={float(stream.rate)!r}", ["t", *stream.channels],
+                       np.column_stack([times, stream.values.T]).tolist())
     return directory
 
 
@@ -631,58 +624,58 @@ def _check_header(line: str, expected: str, path: Path) -> str:
     return line
 
 
-def load_dataset(directory: str | Path) -> list[UserDataset]:
-    """Load a dataset directory written by :func:`write_dataset`."""
-    directory = Path(directory)
-    annotations: dict[str, list[Annotation]] = {}
-    path = directory / "annotations.csv"
+def _read_rows(path: Path, header: str, parse) -> dict[str, list]:
+    """``parse`` of every row of a versioned CSV file (a dict keyed by its
+    column line), grouped by the row's user; a malformed row is a ValueError
+    naming the file and line."""
+    out: dict[str, list] = {}
     with open(path, newline="") as f:
-        _check_header(f.readline(), _ANNOTATIONS_HEADER, path)
-        for row in csv.DictReader(f):
-            a = Annotation(row["user"], row["activity"],
-                           float(row["t_start"]), float(row["t_end"]))
-            annotations.setdefault(a.user, []).append(a)
+        _check_header(f.readline(), header, path)
+        reader = csv.DictReader(f)
+        for row in reader:
+            try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                out.setdefault(row["user"], []).append(parse(row))
+            except (KeyError, ValueError) as exc:
+                # + 1 for the header line the reader never saw
+                raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from None
+    return out
 
-    records: dict[str, list[RawContextRecord]] = {}
-    path = directory / "context.csv"
+
+def _context_record(row: dict) -> RawContextRecord:
+    speed, delta, route = row["speed"], row["pressure_delta"], row["transport_route_nearby"]
+    return RawContextRecord(float(row["t"]), float(speed) if speed else None,
+                            float(delta) if delta else None, row["semantic_place"] or None,
+                            route == "true" if route else None, row["weather"] or None)
+
+
+def _load_stream(path: Path) -> SensorStream:
     with open(path, newline="") as f:
-        _check_header(f.readline(), _CONTEXT_HEADER, path)
-        for row in csv.DictReader(f):
-            records.setdefault(row["user"], []).append(RawContextRecord(
-                timestamp=float(row["t"]),
-                speed=float(row["speed"]) if row["speed"] else None,
-                pressure_delta=float(row["pressure_delta"]) if row["pressure_delta"] else None,
-                semantic_place=row["semantic_place"] or None,
-                transport_route_nearby=(row["transport_route_nearby"] == "true"
-                                        if row["transport_route_nearby"] else None),
-                weather=row["weather"] or None,
-            ))
-
-    def load_stream(path: Path) -> SensorStream:
-        with open(path, newline="") as f:
-            header = _check_header(f.readline(), _STREAM_HEADER, path)
-            rate = float(header.rsplit("rate=", 1)[1])
-            reader = csv.reader(f)
-            columns = next(reader)
-            channels = tuple(columns[1:])
-            values = [[float(v) for v in row[1:]] for row in reader]
+        header = _check_header(f.readline(), _STREAM_HEADER, path)
         try:
-            return SensorStream(rate, channels, np.array(values).T
-                                if values else np.empty((len(channels), 0)))
+            rate = float(header.rsplit("rate=", 1)[-1])
+            channels = tuple(next(csv.reader(f), ["t"])[1:])
+            with warnings.catch_warnings():  # a stream with no samples is valid
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+            return SensorStream(rate, channels, rows[:, 1:].T if rows.size
+                                else np.empty((len(channels), 0)))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
-    users = sorted(p.name[len("phone_"):-len(".csv")]
-                   for p in directory.glob("phone_*.csv"))
+
+def load_dataset(directory: str | Path) -> list[UserDataset]:
+    """Load a dataset directory written by :func:`write_dataset`."""
+    directory = Path(directory)
+    annotations = _read_rows(directory / "annotations.csv", _ANNOTATIONS_HEADER,
+                             lambda row: Annotation(row["user"], row["activity"],
+                                                    float(row["t_start"]), float(row["t_end"])))
+    records = _read_rows(directory / "context.csv", _CONTEXT_HEADER, _context_record)
+    users = sorted(p.stem[len("phone_"):] for p in directory.glob("phone_*.csv"))
     if not users:
         raise ValueError(f"{directory}: no phone_<user>.csv stream files found")
-    datasets = []
-    for user in users:
-        datasets.append(UserDataset(
-            user=user,
-            phone=load_stream(directory / f"phone_{user}.csv"),
-            watch=load_stream(directory / f"watch_{user}.csv"),
-            context_records=records.get(user, []),
-            annotations=annotations.get(user, []),
-        ))
-    return datasets
+    return [UserDataset(user, _load_stream(directory / f"phone_{user}.csv"),
+                        _load_stream(directory / f"watch_{user}.csv"),
+                        records.get(user, []), annotations.get(user, []))
+            for user in users]

@@ -363,7 +363,12 @@ def load_model(path: str | Path) -> TrainedModel:
     present and of its declared type, and the parameter names and shapes must
     match the network spec, whose layout the loaded parameters take."""
     with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
+        try:
+            meta = json.loads(str(archive["meta"]))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: no JSON meta record: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: meta must be a JSON object, got {meta!r}")
         if meta.get("version") != _CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
         params = {name[len("param:"):]: archive[name] for name in archive.files

@@ -98,6 +98,35 @@ def test_audit_window_seconds_must_be_positive_and_finite(tmp_path, seconds):
     assert exc.value.code == 2
 
 
+def test_audit_window_shorter_than_a_sample(tmp_path, capsys):
+    # 0.01 s at 25 Hz rounds to 0 samples a window: every window is covered
+    cfg = write_config(tmp_path, dataset={"synthetic": {
+        "users": 2, "windows_per_user": 5, "violation_rate": 0.0, "seed": 3}})
+    main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")])
+    capsys.readouterr()
+    rc = main(["audit", "--dataset", str(tmp_path / "ds"), "--rules",
+               "configs/synthetic.rules", "--window-seconds", "0.01"])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith(
+        "label consistent with context: 3998/3998 (100.0%)\n")
+
+
+def test_audit_names_the_file_and_line_of_a_malformed_annotation(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")])
+    path = tmp_path / "ds" / "annotations.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    user, activity, _, t_end = lines[2].split(",")
+    lines[2] = ",".join([user, activity, "x", t_end])
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    rc = main(["audit", "--dataset", str(tmp_path / "ds"), "--rules",
+               "configs/synthetic.rules"])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {path}: line 3: could not convert string "
+                                       "to float: 'x'\n")
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -269,3 +298,16 @@ def test_classify_refinement_with_rules(tmp_path, synth_checkpoints):
         if not record["fallback"]:
             top = int(np.argmax(record["probs"]))
             assert record["consistent"][top] == 1
+
+
+def test_classify_rejects_a_checkpoint_window_length_that_is_not_finite(
+        tmp_path, synth_checkpoints, capsys):
+    from dataclasses import replace
+    from nesyhar.strategies import load_model, save_model
+    ds, sem_path, _ = synth_checkpoints
+    path = save_model(replace(load_model(sem_path), window_seconds=float("nan")),
+                      tmp_path / "nan.npz")
+    rc = main(["classify", "--model", str(path), "--samples", str(ds)])
+    assert rc == 1
+    assert capsys.readouterr().err.endswith(
+        "error: window length must be positive and finite\n")

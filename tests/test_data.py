@@ -11,7 +11,6 @@ from nesyhar.data import (
     SyntheticConfig,
     UserDataset,
     downsample_training,
-    encode,
     encode_user_datasets,
     encode_windows,
     enumerate_realizable_states,
@@ -43,19 +42,19 @@ def make_user(duration=40.0, rate=10.0, annotations=None, records=None, user="u1
 def test_segment_window_count(model):
     windows = segment(make_user(40.0), 4.0, DISC, model.vocabulary)
     assert len(windows) == 10
-    assert [w.t_start for w in windows] == [i * 4.0 for i in range(10)]
-    assert all(w.phone.shape == (2, 40) and w.watch.shape == (1, 40) for w in windows)
+    assert windows.t_start.tolist() == [i * 4.0 for i in range(10)]
+    assert windows.phone.shape == (10, 2, 40) and windows.watch.shape == (10, 1, 40)
 
 
 def test_segment_majority_label_and_tie(model):
     annotations = [Annotation("u1", "walking", 0.0, 3.0),
                    Annotation("u1", "sitting", 3.0, 8.0)]
     windows = segment(make_user(8.0, annotations=annotations), 4.0, DISC, model.vocabulary)
-    assert [w.label for w in windows] == ["walking", "sitting"]
+    assert list(windows.labels) == ["walking", "sitting"]
     # exact tie: both overlap 2 s; the earlier annotation wins
     tie = [Annotation("u1", "running", 0.0, 2.0), Annotation("u1", "sitting", 2.0, 4.0)]
     windows = segment(make_user(4.0, annotations=tie), 4.0, DISC, model.vocabulary)
-    assert windows[0].label == "running"
+    assert windows.labels[0] == "running"
 
 
 def test_segment_drops_unlabeled(model):
@@ -65,7 +64,7 @@ def test_segment_drops_unlabeled(model):
     kept = segment(make_user(12.0, annotations=annotations), 4.0, DISC,
                    model.vocabulary, keep_unlabeled=True)
     assert len(kept) == 3
-    assert kept[1].label is None
+    assert kept.labels[1] is None
 
 
 def test_segment_drops_misaligned_window(model, caplog):
@@ -80,31 +79,41 @@ def test_segment_drops_misaligned_window(model, caplog):
 def test_segment_aggregates_window_context(model):
     records = [RawContextRecord(1.0, speed=1.0), RawContextRecord(5.0, speed=5.0)]
     windows = segment(make_user(8.0, records=records), 4.0, DISC, model.vocabulary)
-    assert windows[0].state.dimension_values("speed") == {"low"}
-    assert windows[1].state.dimension_values("speed") == {"medium"}
+    assert windows.states[0].dimension_values("speed") == {"low"}
+    assert windows.states[1].dimension_values("speed") == {"medium"}
+
+
+def test_segment_aggregates_records_in_file_order(model):
+    # 1 + 1e16 rounds to 1e16, so the summed pressure delta is 0 in file order
+    # and 1 (a descent) in any order that adds 1 last
+    records = [RawContextRecord(3.0, pressure_delta=1.0), RawContextRecord(5.0, speed=1.0),
+               RawContextRecord(1.0, pressure_delta=1e16),
+               RawContextRecord(2.0, pressure_delta=-1e16)]
+    windows = segment(make_user(8.0, records=records), 4.0, DISC, model.vocabulary)
+    assert windows.states[0].dimension_values("height_variation") == {"null"}
 
 
 def test_encode_round_trip(model):
     state = ContextState.from_pairs(["speed=low", "location_type=outdoor"])
     records = [RawContextRecord(1.0, speed=1.0, semantic_place="park")]
     windows = segment(make_user(4.0, records=records), 4.0, DISC, model.vocabulary)
-    sample = encode(windows[0], model.vocabulary, model.activity_names)
-    assert sample.label == model.activity_names.index("walking")
-    assert sample.context.sum() == len(windows[0].state)
-    assert model.vocabulary.decode_state(sample.context) == windows[0].state == state
+    encoded = encode_windows(windows, model.vocabulary, model.activity_names)
+    assert encoded.labels[0] == model.activity_names.index("walking")
+    assert encoded.context[0].sum() == len(windows.states[0])
+    assert model.vocabulary.decode_state(encoded.context[0]) == windows.states[0] == state
 
 
 def test_encode_empty_state_zero_vector(model):
     windows = segment(make_user(4.0), 4.0, DISC, model.vocabulary)
-    sample = encode(windows[0], model.vocabulary, model.activity_names)
-    assert not sample.context.any()
+    encoded = encode_windows(windows, model.vocabulary, model.activity_names)
+    assert not encoded.context[0].any()
 
 
 def test_encode_unknown_label_rejected(model):
     windows = segment(make_user(4.0, annotations=[Annotation("u1", "flying", 0.0, 4.0)]),
                       4.0, DISC, model.vocabulary)
     with pytest.raises(KeyError, match="flying"):
-        encode(windows[0], model.vocabulary, model.activity_names)
+        encode_windows(windows, model.vocabulary, model.activity_names)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +153,8 @@ def test_generator_round_trip_states(model):
     realizable = set(enumerate_realizable_states(model.vocabulary, DISC))
     windows = segment(datasets[0], 4.0, DISC, model.vocabulary)
     assert len(windows) == 30
-    for w in windows:
-        assert w.state in realizable
+    for state in windows.states:
+        assert state in realizable
 
 
 def test_generator_full_violation_matches_enumerated_expectation(model):
@@ -166,9 +175,9 @@ def test_generator_full_violation_matches_enumerated_expectation(model):
     hits = total = 0
     for ds in datasets:
         windows = segment(ds, 4.0, DISC, model.vocabulary)
-        for w in windows:
+        for label, state in zip(windows.labels, windows.states):
             total += 1
-            hits += w.label in model.consistent_activities(w.state)
+            hits += label in model.consistent_activities(state)
     assert total == 2000
     assert abs(hits / total - expected) < 0.03
 
@@ -293,3 +302,182 @@ def test_load_rejects_non_finite_stream_values(tmp_path, model, bad):
     with pytest.raises(ValueError, match=r"phone_user00\.csv: stream channel 'p0' has a "
                                          r"non-finite value at sample 3"):
         load_dataset(tmp_path / "ds")
+
+
+# ---------------------------------------------------------------------------
+# Columnar segmentation against the per-window oracle
+# ---------------------------------------------------------------------------
+
+PLACES = ("home", "office", "park", "street", "bus stop", "moon base")
+WEATHERS = ("clear", "rain", "snow", "fog")
+
+
+def random_recording(model, seed):
+    """A messy recording: overlapping annotations, exact overlap ties, gaps,
+    streams of unequal length, and context records on window bounds, past the
+    last window, at negative or NaN times."""
+    rng = np.random.default_rng(seed)
+    z = float(rng.choice([1.0, 2.0, 4.0, 0.3, 2.5]))
+    phone_rate, watch_rate = rng.choice([7.5, 10.0, 25.0], size=2)
+    seconds = rng.uniform(0.0, 80.0)
+    phone_n = int(seconds * phone_rate)
+    watch_n = max(int((seconds + rng.uniform(-2 * z, 2 * z)) * watch_rate), 0)
+    phone = SensorStream(phone_rate, ("px", "py"), rng.normal(size=(2, phone_n)))
+    watch = SensorStream(watch_rate, ("wx",), rng.normal(size=(1, watch_n)))
+    duration = max(phone.duration, watch.duration, z)
+    names = model.activity_names
+    annotations = []
+    for _ in range(int(rng.integers(0, 40))):
+        # endpoints on a half-second grid make exact overlap ties common
+        start = float(np.round(rng.uniform(-z, duration) * 2) / 2)
+        length = float(np.round(rng.exponential(2 * z) * 2) / 2) + 0.5
+        annotations.append(Annotation("u", str(rng.choice(names)), start, start + length))
+    times = list(rng.uniform(-2.0, duration + 2.0, size=int(rng.integers(0, 60))))
+    times += [k * z for k in rng.integers(0, int(duration // z) + 2, size=8)]
+    times += [-z, float("nan"), duration + z]
+    records = []
+    for time in rng.permutation(np.array(times)):
+        records.append(RawContextRecord(
+            float(time),
+            speed=float(rng.exponential(3.0)) if rng.random() < 0.7 else None,
+            pressure_delta=float(rng.normal(scale=0.1)) if rng.random() < 0.5 else None,
+            semantic_place=str(rng.choice(PLACES)) if rng.random() < 0.5 else None,
+            transport_route_nearby=bool(rng.random() < 0.5) if rng.random() < 0.5 else None,
+            weather=str(rng.choice(WEATHERS)) if rng.random() < 0.5 else None))
+    return UserDataset("u", phone, watch, records, annotations), z
+
+
+@pytest.mark.parametrize("keep_unlabeled", [False, True])
+@pytest.mark.parametrize("seed", range(12))
+def test_segment_and_encode_match_the_per_window_oracle(model, seed, keep_unlabeled):
+    from data_reference import reference_encode, reference_segment
+    ds, z = random_recording(model, seed)
+    vocab, names = model.vocabulary, model.activity_names
+    expected = reference_segment(ds, z, DISC, vocab, keep_unlabeled)
+    windows = segment(ds, z, DISC, vocab, keep_unlabeled)
+    assert len(windows) == len(expected)
+    assert windows.user == ds.user
+    assert windows.t_start.tolist() == [w.t_start for w in expected]
+    assert windows.t_end.tolist() == [w.t_end for w in expected]
+    assert windows.states == tuple(w.state for w in expected)
+    assert windows.labels == tuple(w.label for w in expected)
+    if not expected:
+        with pytest.raises(ValueError, match="no windows"):
+            encode_windows(windows, vocab, names)
+        return
+    encoded = encode_windows(windows, vocab, names)
+    samples = [reference_encode(w, vocab, names) for w in expected]
+    for got, want in ((encoded.phone, [w.phone for w in expected]),
+                      (encoded.watch, [w.watch for w in expected]),
+                      (encoded.context, [context for _, context in samples])):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, np.stack(want), strict=True)
+    assert encoded.labels.tolist() == [-1 if label is None else label for label, _ in samples]
+    assert encoded.users == (ds.user,) * len(expected)
+
+
+def test_segment_window_shorter_than_a_sample(model):
+    # 0.01 s at 10 Hz rounds to 0 samples: every window is covered and empty
+    windows = segment(make_user(4.0), 0.01, DISC, model.vocabulary)
+    assert len(windows) == 399
+    assert windows.phone.shape == (399, 2, 0) and windows.watch.shape == (399, 1, 0)
+    assert set(windows.labels) == {"walking"}
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0, float("nan"), float("inf")])
+def test_segment_rejects_a_window_length_that_is_not_positive_and_finite(model, z):
+    with pytest.raises(ValueError, match="window length must be positive and finite"):
+        segment(make_user(8.0), z, DISC, model.vocabulary)
+
+
+def test_segment_warns_once_naming_the_uncovered_windows(model, caplog):
+    ds = make_user(20.0)
+    ds.watch = SensorStream(ds.watch.rate, ds.watch.channels, ds.watch.values[:, :90])
+    with caplog.at_level("WARNING"):
+        windows = segment(ds, 4.0, DISC, model.vocabulary)
+    assert len(windows) == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "user u1: 3 window(s) in [8, 20) not covered by both streams; dropped"]
+
+
+# ---------------------------------------------------------------------------
+# Dataset file format
+# ---------------------------------------------------------------------------
+
+def two_window_user():
+    return UserDataset(
+        "u1",
+        SensorStream(2.0, ("px",), np.array([[0.5, -1.0, 2.25, 1e-05]])),
+        SensorStream(1.0, ("wx", "wy"), np.array([[1.0, 2.0], [0.1, -0.0]])),
+        [RawContextRecord(0.5, speed=1.25, semantic_place="park", transport_route_nearby=True),
+         RawContextRecord(3.0, pressure_delta=-0.2, weather="rain, light")],
+        [Annotation("u1", "walking", 0.0, 2.0), Annotation("u1", "sitting", 2.0, 4.0)])
+
+
+def test_write_dataset_writes_the_documented_text(tmp_path):
+    write_dataset([two_window_user()], tmp_path)
+    expected = {
+        "annotations.csv": "# nesyhar annotations v1\nuser,activity,t_start,t_end\r\n"
+                           "u1,walking,0.0,2.0\r\nu1,sitting,2.0,4.0\r\n",
+        "context.csv": "# nesyhar context-records v1\n"
+                       "user,t,speed,pressure_delta,semantic_place,transport_route_nearby,"
+                       "weather\r\nu1,0.5,1.25,,park,true,\r\nu1,3.0,,-0.2,,,\"rain, light\"\r\n",
+        "phone_u1.csv": "# nesyhar stream v1 rate=2.0\nt,px\r\n"
+                        "0.0,0.5\r\n0.5,-1.0\r\n1.0,2.25\r\n1.5,1e-05\r\n",
+        "watch_u1.csv": "# nesyhar stream v1 rate=1.0\nt,wx,wy\r\n0.0,1.0,0.1\r\n1.0,2.0,-0.0\r\n",
+    }
+    assert {p.name: p.read_bytes().decode() for p in tmp_path.iterdir()} == expected
+
+
+def test_load_dataset_reads_a_stream_without_samples(tmp_path):
+    user = two_window_user()
+    user.watch = SensorStream(1.0, ("wx", "wy"), np.empty((2, 0)))
+    write_dataset([user], tmp_path)
+    loaded = load_dataset(tmp_path)[0]
+    assert loaded.watch.channels == ("wx", "wy") and loaded.watch.values.shape == (2, 0)
+    np.testing.assert_array_equal(loaded.phone.values, user.phone.values)
+
+
+# (file, line, field, new text or None to cut the row there, error)
+MALFORMED_ROWS = [
+    pytest.param("annotations.csv", 3, 2, "x", "could not convert string to float: 'x'",
+                 id="annotation-time"),
+    pytest.param("annotations.csv", 4, 3, None, r"expected 4 fields", id="annotation-short-row"),
+    pytest.param("annotations.csv", 3, 3, "0.0", r"interval \[0.0, 0.0\) is empty",
+                 id="annotation-empty-interval"),
+    pytest.param("context.csv", 3, 1, "soon", "could not convert string to float: 'soon'",
+                 id="context-time"),
+    pytest.param("context.csv", 4, 3, "up", "could not convert string to float: 'up'",
+                 id="context-value"),
+    pytest.param("context.csv", 3, 3, None, r"expected 7 fields", id="context-short-row"),
+]
+
+
+@pytest.mark.parametrize("name, line, field, text, message", MALFORMED_ROWS)
+def test_load_rejects_a_malformed_row_naming_file_and_line(tmp_path, name, line, field, text,
+                                                           message):
+    write_dataset([two_window_user()], tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    lines[line - 1] = ",".join(fields[:field] if text is None
+                               else fields[:field] + [text] + fields[field + 1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value).startswith(f"{path}: line {line}: ")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1.0,x", "could not convert string 'x'"),
+    ("one,0.5", "could not convert string 'one'"),
+    ("1.0", "number of columns changed"),
+    ("# 1.0,0.5", "could not convert string '# 1.0'"),
+])
+def test_load_rejects_a_malformed_stream_row_naming_the_file(tmp_path, row, message):
+    write_dataset([two_window_user()], tmp_path)
+    path = tmp_path / "phone_u1.csv"
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(ValueError, match=message) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value).startswith(f"{path}: ")

@@ -450,6 +450,22 @@ def test_load_model_rejects_malformed_meta_naming_the_file(tiny_model, tiny_net_
     assert str(exc.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("entries, message", [
+    pytest.param({"meta": json.dumps([1, 2])}, r"meta must be a JSON object, got \[1, 2\]",
+                 id="meta-list"),
+    pytest.param({"meta": "{version"}, "no JSON meta record", id="meta-not-json"),
+    pytest.param({}, "no JSON meta record", id="no-meta"),
+])
+def test_load_model_rejects_a_checkpoint_without_a_meta_object(tiny_net_spec, tmp_path,
+                                                                entries, message):
+    path = tmp_path / "bad.npz"
+    params = build_network(tiny_net_spec, 0)
+    np.savez(path, **entries, **{f"param:{n}": v for n, v in params.items()})
+    with pytest.raises(ValueError, match=message) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_trained_model_invariant():
     import dataclasses
     from nesyhar.nn import BranchSpec, NetworkSpec
