@@ -12,7 +12,6 @@ from .context import DiscretizationConfig, RawContextRecord, aggregate_context
 from .data import (
     Annotation,
     EncodedDataset,
-    EncodedSample,
     SensorStream,
     SyntheticConfig,
     UserDataset,
@@ -45,16 +44,7 @@ from .knowledge import (
     load_knowledge,
     parse_knowledge,
 )
-from .losses import (
-    LossConfig,
-    combined_loss,
-    cross_entropy,
-    semantic_all,
-    semantic_minusprob_one,
-    semantic_minusprob_prob,
-    semantic_zero_one,
-    semantic_zero_prob,
-)
+from .losses import LossConfig
 from .nn import (
     AdamState,
     BranchSpec,

@@ -11,6 +11,7 @@ uses order-free statistics only, so record order never matters.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -127,11 +128,11 @@ def aggregate_context(records: Sequence[RawContextRecord], cfg: DiscretizationCo
 
     speeds = [r.speed for r in records if r.speed is not None]
     if speeds:
-        emit(SPEED, cfg.speed_class(sum(speeds) / len(speeds)))
+        emit(SPEED, cfg.speed_class(math.fsum(speeds) / len(speeds)))
 
     deltas = [r.pressure_delta for r in records if r.pressure_delta is not None]
     if deltas:
-        total = sum(deltas)
+        total = math.fsum(deltas)
         if abs(total) <= cfg.height_epsilon:
             emit(HEIGHT_VARIATION, "null")
         else:

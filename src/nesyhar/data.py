@@ -59,7 +59,6 @@ __all__ = [
     "SensorStream",
     "UserDataset",
     "Windows",
-    "EncodedSample",
     "EncodedDataset",
     "segment",
     "encode_windows",
@@ -125,16 +124,6 @@ class UserDataset:
 
 
 @dataclass(frozen=True)
-class EncodedSample:
-    """Network-ready form of one window; context is multi-hot over the vocabulary."""
-
-    phone: np.ndarray
-    watch: np.ndarray
-    context: np.ndarray
-    label: int | None
-
-
-@dataclass(frozen=True)
 class Windows:
     """One user's windows in time order, column by column (entry i is window i)."""
 
@@ -165,10 +154,9 @@ class EncodedDataset:
     def __len__(self) -> int:
         return self.phone.shape[0]
 
-    def sample(self, i: int) -> EncodedSample:
-        label = int(self.labels[i])
-        return EncodedSample(self.phone[i], self.watch[i], self.context[i],
-                             None if label < 0 else label)
+    def sample(self, i: int) -> "EncodedDataset":
+        """Window i as a one-window dataset."""
+        return self.subset([i])
 
     def subset(self, indices) -> "EncodedDataset":
         indices = np.asarray(indices)

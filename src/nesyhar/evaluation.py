@@ -29,7 +29,7 @@ import numpy as np
 from .data import EncodedDataset, downsample_training
 from .knowledge import KnowledgeModel
 from .nn import NetworkSpec
-from .strategies import StrategyConfig, TrainConfig, predict_many, train
+from .strategies import StrategyConfig, TrainConfig, TrainedModel, predict_many, train
 
 log = logging.getLogger(__name__)
 
@@ -215,11 +215,12 @@ def _run_fold_job(job: _FoldJob) -> list[ExperimentCell]:
                 chosen_alpha = None
                 cfg = strategy
                 if strategy.searches_alpha:
-                    chosen_alpha, _ = grid_search_alpha(
-                        strategy, job.alpha_grid, [(train_data, val_data)],
+                    chosen_alpha, _, searched = grid_search_alpha(
+                        strategy, job.alpha_grid, train_data, val_data,
                         job.spec, job.knowledge, job.train_cfg, seed=train_seed)
                     cfg = StrategyConfig(strategy.kind, LossConfig(
                         strategy.loss.semantic_type, float(chosen_alpha)))
+                    model_cache[cfg.training_signature()] = searched
                 elif strategy.kind == "semantic_loss":
                     chosen_alpha = strategy.loss.alpha
                 signature = cfg.training_signature()
@@ -391,11 +392,12 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
 
 
 def grid_search_alpha(strategy: StrategyConfig, alphas: Sequence[int],
-                      validation_folds: Sequence[tuple[EncodedDataset, EncodedDataset]],
-                      spec: NetworkSpec, knowledge: KnowledgeModel,
-                      train_cfg: TrainConfig, seed: int) -> tuple[int, dict]:
-    """Pick the alpha with the best mean validation macro F1; ties to the
-    lowest alpha. Deterministic given the seed."""
+                      train_data: EncodedDataset, val_data: EncodedDataset,
+                      spec: NetworkSpec, knowledge: KnowledgeModel, train_cfg: TrainConfig,
+                      seed: int) -> tuple[int, dict, TrainedModel]:
+    """Pick the alpha with the best validation macro F1; ties to the lowest
+    alpha. Returns it, every alpha's score, and the model trained with it.
+    Deterministic given the seed."""
     from .losses import LossConfig
 
     if not alphas:
@@ -403,19 +405,18 @@ def grid_search_alpha(strategy: StrategyConfig, alphas: Sequence[int],
     if strategy.kind != "semantic_loss":
         raise ValueError("alpha grid search only applies to semantic_loss")
     scores: dict = {}
-    k = len(validation_folds[0][0].activities)
+    models: dict = {}
+    k = len(train_data.activities)
     for alpha in alphas:
         cfg = StrategyConfig(strategy.kind,
                              LossConfig(strategy.loss.semantic_type, float(alpha)))
-        fold_scores = []
-        for train_data, val_data in validation_folds:
-            model = train(train_data, val_data, cfg, spec, seed=seed,
-                          knowledge=knowledge, cfg=train_cfg)
-            preds, _, _ = predict_many(model, val_data)
-            fold_scores.append(macro_f1(confusion_matrix(val_data.labels, preds, k)))
-        scores[int(alpha)] = float(np.mean(fold_scores))
+        model = train(train_data, val_data, cfg, spec, seed=seed, knowledge=knowledge,
+                      cfg=train_cfg)
+        preds, _, _ = predict_many(model, val_data)
+        scores[int(alpha)] = macro_f1(confusion_matrix(val_data.labels, preds, k))
+        models[int(alpha)] = model
     best = max(sorted(scores), key=lambda a: scores[a])
-    return best, scores
+    return best, scores, models[best]
 
 
 # ---------------------------------------------------------------------------

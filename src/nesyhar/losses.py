@@ -22,9 +22,9 @@ The argmax is treated as locally constant when differentiating, and argmax
 ties break to the lowest index. All five penalties take values in [0, 1].
 
 Each loss is defined once, over a batch: ``_cross_entropy`` and the
-``PENALTIES`` table give per-row values and (n, k) gradients, which
-``combined_loss_batch`` sums; ``cross_entropy``, the ``semantic_*`` functions
-and ``combined_loss`` apply them to a batch of one distribution.
+``PENALTIES`` table give per-row values and (n, k) gradients, and
+``combined_loss_batch`` averages them over the batch. One distribution is
+evaluated as a batch of one row.
 """
 
 from __future__ import annotations
@@ -37,13 +37,7 @@ __all__ = [
     "PROB_FLOOR",
     "SEMANTIC_TYPES",
     "LossConfig",
-    "cross_entropy",
-    "semantic_all",
-    "semantic_minusprob_prob",
-    "semantic_zero_one",
-    "semantic_minusprob_one",
-    "semantic_zero_prob",
-    "combined_loss",
+    "PENALTIES",
     "combined_loss_batch",
 ]
 
@@ -107,6 +101,8 @@ def _argmax_penalty(if_consistent: tuple[float, float], if_not: tuple[float, flo
     return penalty
 
 
+# The five penalties by name: each maps probs (n, k) and a boolean consistency
+# mask (n, k) to per-row values (n,) and their gradients (n, k).
 PENALTIES = {
     "All": _penalty_all,
     "-PP": _argmax_penalty((1.0, -1.0), (0.0, 1.0)),
@@ -133,61 +129,3 @@ def combined_loss_batch(probs: np.ndarray, labels: np.ndarray, consistent,
         value += cfg.alpha * penalty.sum()
         grad += cfg.alpha * penalty_grad
     return float(value) / n, grad / n
-
-
-def cross_entropy(probs: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Negative log-probability of the true activity, with a 1e-12 floor."""
-    value, grad = _cross_entropy(np.asarray(probs, dtype=np.float64)[None], np.array([label]))
-    return float(value[0]), grad[0]
-
-
-def _penalty_of_one(kind: str, probs, consistent) -> tuple[float, np.ndarray]:
-    probs = np.asarray(probs, dtype=np.float64)
-    value, grad = PENALTIES[kind](probs[None], _as_mask(consistent, probs.shape)[None])
-    return float(value[0]), grad[0]
-
-
-def semantic_all(probs, consistent) -> tuple[float, np.ndarray]:
-    """1 minus the probability mass assigned to context-consistent activities."""
-    return _penalty_of_one("All", probs, consistent)
-
-
-def semantic_minusprob_prob(probs, consistent) -> tuple[float, np.ndarray]:
-    """1 - p_max if the top activity is consistent, else p_max."""
-    return _penalty_of_one("-PP", probs, consistent)
-
-
-def semantic_zero_one(probs, consistent) -> tuple[float, np.ndarray]:
-    """0 if the top activity is consistent, else 1; gradient identically zero."""
-    return _penalty_of_one("01", probs, consistent)
-
-
-def semantic_minusprob_one(probs, consistent) -> tuple[float, np.ndarray]:
-    """1 - p_max if the top activity is consistent, else a flat 1."""
-    return _penalty_of_one("-P1", probs, consistent)
-
-
-def semantic_zero_prob(probs, consistent) -> tuple[float, np.ndarray]:
-    """0 if the top activity is consistent, else p_max."""
-    return _penalty_of_one("0P", probs, consistent)
-
-
-SEMANTIC_FUNCTIONS = {
-    "All": semantic_all,
-    "-PP": semantic_minusprob_prob,
-    "01": semantic_zero_one,
-    "-P1": semantic_minusprob_one,
-    "0P": semantic_zero_prob,
-}
-
-
-def combined_loss(probs, label: int, consistent, cfg: LossConfig) -> tuple[float, np.ndarray]:
-    """Cross-entropy plus alpha times the configured consistency penalty.
-
-    With ``semantic_type="none"`` (or alpha 0) this reduces exactly to
-    cross-entropy and the consistency mask may be None.
-    """
-    if consistent is not None:
-        consistent = np.asarray(consistent)[None]
-    value, grad = combined_loss_batch(np.asarray(probs)[None], np.array([label]), consistent, cfg)
-    return value, grad[0]

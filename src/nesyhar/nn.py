@@ -34,7 +34,6 @@ inference needs no rescaling.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -42,8 +41,6 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-
-from .records import from_mapping
 
 __all__ = [
     "BranchSpec",
@@ -186,13 +183,6 @@ class NetworkSpec:
         yield "trunk.dense.b", (self.trunk_dense,), 1
         yield "out.w", (self.trunk_dense, self.classes), self.trunk_dense
         yield "out.b", (self.classes,), 1
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "NetworkSpec":
-        return from_mapping(cls, d, complete=True)
 
 
 class Parameters(Mapping):

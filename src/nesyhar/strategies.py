@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .context import DiscretizationConfig
-from .data import EncodedDataset, EncodedSample
+from .data import EncodedDataset
 from .knowledge import ContextVocabulary, KnowledgeModel
 from .losses import LossConfig, combined_loss_batch
 from .nn import AdamState, NetworkSpec, Parameters, adam_step, backward, build_network, forward
@@ -329,14 +329,13 @@ def predict_many(model: TrainedModel, data: EncodedDataset,
     return probs.argmax(axis=1), probs, diagnostics
 
 
-def predict(model: TrainedModel, sample: EncodedSample,
+def predict(model: TrainedModel, window: EncodedDataset,
             knowledge: KnowledgeModel | None = None):
-    """Classify a single window; see :func:`predict_many`."""
-    data = EncodedDataset(
-        phone=sample.phone[None], watch=sample.watch[None], context=sample.context[None],
-        labels=np.array([-1 if sample.label is None else sample.label]),
-        users=("",), activities=model.activities, vocabulary=model.vocabulary)
-    preds, probs, diagnostics = predict_many(model, data, knowledge)
+    """Classify a one-window dataset (see :meth:`EncodedDataset.sample`);
+    returns row 0 of :func:`predict_many`."""
+    if len(window) != 1:
+        raise ValueError(f"predict takes a one-window dataset, got {len(window)} windows")
+    preds, probs, diagnostics = predict_many(model, window, knowledge)
     return int(preds[0]), probs[0], diagnostics[0]
 
 

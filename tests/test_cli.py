@@ -132,15 +132,14 @@ def test_audit_names_the_file_and_line_of_a_malformed_annotation(tmp_path, capsy
 # ---------------------------------------------------------------------------
 
 def test_run_quick_config(tmp_path, capsys):
+    # the report must equal the committed one in out/quick/ byte for byte
     cfg = write_config(tmp_path)
     rc = main(["run", "--config", str(cfg)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "baseline" in out
-    out_dir = tmp_path / "out"
-    assert (out_dir / "cells.csv").is_file()
-    assert (out_dir / "summary.csv").is_file()
-    assert (out_dir / "summary.txt").is_file()
+    for name in ("cells.csv", "summary.csv", "summary.txt"):
+        assert (tmp_path / "out" / name).read_bytes() == (Path("out/quick") / name).read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-1", "1.5", ""])

@@ -83,14 +83,17 @@ def test_segment_aggregates_window_context(model):
     assert windows.states[1].dimension_values("speed") == {"medium"}
 
 
-def test_segment_aggregates_records_in_file_order(model):
-    # 1 + 1e16 rounds to 1e16, so the summed pressure delta is 0 in file order
-    # and 1 (a descent) in any order that adds 1 last
+def test_segment_aggregation_ignores_record_order(model):
+    # a float sum in list order rounds 1 + 1e16 to 1e16 and would give a
+    # pressure delta of 0 in some orders; the exact sum is 1, a descent
     records = [RawContextRecord(3.0, pressure_delta=1.0), RawContextRecord(5.0, speed=1.0),
                RawContextRecord(1.0, pressure_delta=1e16),
                RawContextRecord(2.0, pressure_delta=-1e16)]
-    windows = segment(make_user(8.0, records=records), 4.0, DISC, model.vocabulary)
-    assert windows.states[0].dimension_values("height_variation") == {"null"}
+    states = {segment(make_user(8.0, records=list(order)), 4.0, DISC, model.vocabulary).states
+              for order in itertools.permutations(records)}
+    assert len(states) == 1
+    (first_window, _), = states
+    assert first_window.dimension_values("height_variation") == {"negative"}
 
 
 def test_encode_round_trip(model):

@@ -1,10 +1,13 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import make_encoded
 from nesyhar import evaluation
+from nesyhar.cli import main as cli_main
 from nesyhar.evaluation import (
     confidence_interval,
     confusion_matrix,
@@ -287,15 +290,37 @@ def test_run_experiment_rejects_alpha_grid_entries_below_one(
 def test_grid_search_alpha_tie_breaks_low(tiny_model, tiny_net_spec, encoded_by_user):
     data = list(encoded_by_user.values())[0]
     strategy = StrategyConfig("semantic_loss", LossConfig("All", 0.0))
-    best, scores = grid_search_alpha(
-        strategy, [1], [(data, data)], tiny_net_spec, tiny_model, FAST, seed=0)
+    best, scores, model = grid_search_alpha(
+        strategy, [1], data, data, tiny_net_spec, tiny_model, FAST, seed=0)
     assert best == 1
     assert set(scores) == {1}
-    best2, scores2 = grid_search_alpha(
-        strategy, [3, 1], [(data, data)], tiny_net_spec, tiny_model,
+    assert model.loss == LossConfig("All", 1.0)
+    best2, scores2, _ = grid_search_alpha(
+        strategy, [3, 1], data, data, tiny_net_spec, tiny_model,
         TrainConfig(epochs=1, batch_size=64, patience=5), seed=0)
     if scores2[1] == scores2[3]:
         assert best2 == 1
+
+
+def test_alpha_search_trains_each_alpha_once(tmp_path, monkeypatch):
+    # the searched model of the chosen alpha is the cell's model: 3 folds x 2 alphas
+    cfg = yaml.safe_load(Path("configs/quick.yaml").read_text())
+    cfg.update(output_dir=str(tmp_path / "out"), repetitions=1, seeds=[11],
+               alpha_grid=[1, 2], strategies=[{"kind": "semantic_loss", "semantic_type": "All"}])
+    cfg["training"]["epochs"] = 3
+    path = tmp_path / "grid.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    calls = []
+    original = evaluation.train
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].loss.alpha)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train", counting)
+    monkeypatch.delenv("NESYHAR_THREADS", raising=False)
+    assert cli_main(["run", "--config", str(path)]) == 0
+    assert sorted(calls) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
 
 
 def test_report_files_deterministic(tmp_path, tiny_model, tiny_net_spec, encoded_by_user):

@@ -5,18 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nesyhar.losses import (
-    LossConfig,
-    SEMANTIC_FUNCTIONS,
-    combined_loss,
-    combined_loss_batch,
-    cross_entropy,
-    semantic_all,
-    semantic_minusprob_one,
-    semantic_minusprob_prob,
-    semantic_zero_one,
-    semantic_zero_prob,
-)
+from nesyhar.losses import PENALTIES, LossConfig, combined_loss_batch
 
 # Independent one-line restatements of the five penalties, used as oracles.
 ORACLES = {
@@ -46,70 +35,76 @@ def mask(k, ones):
     return m
 
 
+def penalty(kind, p, m):
+    """The named penalty of one distribution, evaluated as a one-row batch."""
+    values, grads = PENALTIES[kind](p[None], m[None])
+    return values[0], grads[0]
+
+
 # ---------------------------------------------------------------------------
 # Frozen hand-computed examples
 # ---------------------------------------------------------------------------
 
 def test_cross_entropy_one_hot_is_zero():
     p = np.array([0.0, 1.0, 0.0])
-    value, _ = cross_entropy(p, 1)
+    value, _ = combined_loss_batch(p[None], [1], None, LossConfig())
     assert abs(value) < 1e-11
 
 
 def test_cross_entropy_uniform():
-    value, _ = cross_entropy(np.full(4, 0.25), 2)
+    value, _ = combined_loss_batch(np.full((1, 4), 0.25), [2], None, LossConfig())
     assert value == pytest.approx(math.log(4), abs=1e-9)
 
 
 def test_cross_entropy_invalid_label():
     with pytest.raises(IndexError):
-        cross_entropy(np.full(4, 0.25), 4)
+        combined_loss_batch(np.full((1, 4), 0.25), [4], None, LossConfig())
 
 
 def test_semantic_all_values():
     p = np.array([0.4, 0.3, 0.3])
-    assert semantic_all(p, mask(3, [0, 1, 2]))[0] == pytest.approx(0.0, abs=1e-12)
-    assert semantic_all(p, mask(3, []))[0] == pytest.approx(1.0)
-    assert semantic_all(p, mask(3, [0, 1]))[0] == pytest.approx(0.3)
+    assert penalty("All", p, mask(3, [0, 1, 2]))[0] == pytest.approx(0.0, abs=1e-12)
+    assert penalty("All", p, mask(3, []))[0] == pytest.approx(1.0)
+    assert penalty("All", p, mask(3, [0, 1]))[0] == pytest.approx(0.3)
 
 
 def test_semantic_all_gradient():
-    _, grad = semantic_all(np.array([0.4, 0.3, 0.3]), mask(3, [0, 2]))
+    _, grad = penalty("All", np.array([0.4, 0.3, 0.3]), mask(3, [0, 2]))
     np.testing.assert_array_equal(grad, [-1.0, 0.0, -1.0])
 
 
 def test_minusprob_prob_values():
-    assert semantic_minusprob_prob(np.array([1.0, 0.0]), mask(2, [0]))[0] == 0.0
-    assert semantic_minusprob_prob(np.array([0.6, 0.4]), mask(2, [1]))[0] == pytest.approx(0.6)
-    assert semantic_minusprob_prob(np.array([0.6, 0.4]), mask(2, [0]))[0] == pytest.approx(0.4)
+    assert penalty("-PP", np.array([1.0, 0.0]), mask(2, [0]))[0] == 0.0
+    assert penalty("-PP", np.array([0.6, 0.4]), mask(2, [1]))[0] == pytest.approx(0.6)
+    assert penalty("-PP", np.array([0.6, 0.4]), mask(2, [0]))[0] == pytest.approx(0.4)
 
 
 def test_minusprob_prob_gradient_sign():
-    _, g = semantic_minusprob_prob(np.array([0.6, 0.4]), mask(2, [0]))
+    _, g = penalty("-PP", np.array([0.6, 0.4]), mask(2, [0]))
     np.testing.assert_array_equal(g, [-1.0, 0.0])
-    _, g = semantic_minusprob_prob(np.array([0.6, 0.4]), mask(2, [1]))
+    _, g = penalty("-PP", np.array([0.6, 0.4]), mask(2, [1]))
     np.testing.assert_array_equal(g, [1.0, 0.0])
 
 
 def test_zero_one_values_and_zero_gradient():
     p = np.array([0.5, 0.3, 0.2])
-    v, g = semantic_zero_one(p, mask(3, [0]))
+    v, g = penalty("01", p, mask(3, [0]))
     assert v == 0.0
-    v2, g2 = semantic_zero_one(p, mask(3, [1]))
+    v2, g2 = penalty("01", p, mask(3, [1]))
     assert v2 == 1.0
     np.testing.assert_array_equal(g, np.zeros(3))
     np.testing.assert_array_equal(g2, np.zeros(3))
 
 
 def test_minusprob_one_values():
-    assert semantic_minusprob_one(np.array([1.0, 0.0]), mask(2, [0]))[0] == 0.0
-    assert semantic_minusprob_one(np.array([0.9, 0.1]), mask(2, [1]))[0] == 1.0
-    assert semantic_minusprob_one(np.array([0.55, 0.45]), mask(2, [0]))[0] == pytest.approx(0.45)
+    assert penalty("-P1", np.array([1.0, 0.0]), mask(2, [0]))[0] == 0.0
+    assert penalty("-P1", np.array([0.9, 0.1]), mask(2, [1]))[0] == 1.0
+    assert penalty("-P1", np.array([0.55, 0.45]), mask(2, [0]))[0] == pytest.approx(0.45)
 
 
 def test_zero_prob_values_and_gradient():
-    assert semantic_zero_prob(np.array([0.9, 0.1]), mask(2, [0]))[0] == 0.0
-    v, g = semantic_zero_prob(np.array([0.9, 0.1]), mask(2, [1]))
+    assert penalty("0P", np.array([0.9, 0.1]), mask(2, [0]))[0] == 0.0
+    v, g = penalty("0P", np.array([0.9, 0.1]), mask(2, [1]))
     assert v == pytest.approx(0.9)
     np.testing.assert_array_equal(g, [1.0, 0.0])
 
@@ -117,14 +112,14 @@ def test_zero_prob_values_and_gradient():
 def test_argmax_tie_breaks_to_lowest_index():
     p = np.array([0.4, 0.4, 0.2])
     # index 0 wins the tie, and only index 0 is consistent
-    assert semantic_zero_one(p, mask(3, [0]))[0] == 0.0
-    assert semantic_zero_one(p, mask(3, [1]))[0] == 1.0
+    assert penalty("01", p, mask(3, [0]))[0] == 0.0
+    assert penalty("01", p, mask(3, [1]))[0] == 1.0
 
 
 def test_combined_loss_hand_example():
     p = np.array([0.4, 0.3, 0.3])
     cfg = LossConfig("All", 2.0)
-    value, _ = combined_loss(p, 0, mask(3, [0, 1]), cfg)
+    value, _ = combined_loss_batch(p[None], [0], mask(3, [0, 1])[None], cfg)
     assert value == pytest.approx(-math.log(0.4) + 2 * 0.3, abs=1e-6)
     assert value == pytest.approx(1.5163, abs=5e-5)
 
@@ -133,13 +128,10 @@ def test_combined_alpha_zero_is_cross_entropy():
     rng = np.random.default_rng(0)
     for _ in range(50):
         p, m = random_pair(rng)
-        ce_v, ce_g = cross_entropy(p, 0)
-        cfg = LossConfig("All", 0.0)
-        v, g = combined_loss(p, 0, m, cfg)
+        ce_v, ce_g = combined_loss_batch(p[None], [0], None, LossConfig())
+        v, g = combined_loss_batch(p[None], [0], m[None], LossConfig("All", 0.0))
         assert v == ce_v
         np.testing.assert_array_equal(g, ce_g)
-    v_none, _ = combined_loss(p, 0, None, LossConfig("none", 0.0))
-    assert v_none == ce_v
 
 
 def test_loss_config_validation():
@@ -156,10 +148,9 @@ def test_loss_config_validation():
 @pytest.mark.parametrize("kind", list(ORACLES))
 def test_oracle_equivalence(kind):
     rng = np.random.default_rng(1234)
-    fn = SEMANTIC_FUNCTIONS[kind]
     for _ in range(1000):
         p, m = random_pair(rng)
-        value, _ = fn(p, m)
+        value, _ = penalty(kind, p, m)
         assert abs(value - ORACLES[kind](p, m)) < 1e-12
         assert -1e-12 <= value <= 1.0 + 1e-12
 
@@ -167,15 +158,14 @@ def test_oracle_equivalence(kind):
 @pytest.mark.parametrize("kind", list(ORACLES))
 def test_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(99)
-    fn = SEMANTIC_FUNCTIONS[kind]
     h = 1e-6
     for _ in range(40):
         p, m = random_pair(rng, margin=1e-3)
-        _, grad = fn(p, m)
+        _, grad = penalty(kind, p, m)
         for i in range(p.shape[0]):
             dp = np.zeros_like(p)
             dp[i] = h
-            fd = (fn(p + dp, m)[0] - fn(p - dp, m)[0]) / (2 * h)
+            fd = (penalty(kind, p + dp, m)[0] - penalty(kind, p - dp, m)[0]) / (2 * h)
             assert abs(fd - grad[i]) < 1e-6
 
 
@@ -185,14 +175,16 @@ def test_cross_entropy_gradient_finite_differences_on_simplex_tangent():
     for _ in range(25):
         p, _ = random_pair(rng, k=5)
         label = int(rng.integers(5))
-        _, grad = cross_entropy(p, label)
+        _, grad = combined_loss_batch(p[None], [label], None, LossConfig())
         fd = np.zeros(5)
         for i in range(5):
             dp = np.zeros(5)
             dp[i] = h
-            fd[i] = (cross_entropy(p + dp, label)[0] - cross_entropy(p - dp, label)[0]) / (2 * h)
+            up, _ = combined_loss_batch((p + dp)[None], [label], None, LossConfig())
+            down, _ = combined_loss_batch((p - dp)[None], [label], None, LossConfig())
+            fd[i] = (up - down) / (2 * h)
         project = lambda g: g - g.mean()
-        np.testing.assert_allclose(project(fd), project(grad), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(project(fd), project(grad[0]), rtol=1e-5, atol=1e-6)
 
 
 @given(st.integers(min_value=0, max_value=100_000))
@@ -201,20 +193,21 @@ def test_combined_loss_strictly_increasing_in_alpha(seed):
     rng = np.random.default_rng(seed)
     kind = ["All", "-PP", "01", "-P1", "0P"][seed % 5]
     p, m = random_pair(rng)
-    sem_value, _ = SEMANTIC_FUNCTIONS[kind](p, m)
+    sem_value, _ = penalty(kind, p, m)
     if sem_value <= 1e-12:
         # a round-off sized penalty (<= 2.2e-16 seen) times alpha is below the
         # resolution of the cross-entropy, so the sum cannot grow with alpha
         return
     label = int(rng.integers(p.shape[0]))
-    values = [combined_loss(p, label, m, LossConfig(kind, a))[0] for a in (0.5, 1.0, 3.0)]
+    values = [combined_loss_batch(p[None], [label], m[None], LossConfig(kind, a))[0]
+              for a in (0.5, 1.0, 3.0)]
     assert values[0] < values[1] < values[2]
 
 
 def test_batch_matches_per_sample():
-    # The scalar functions are views of the batch code, so the batch is checked
-    # row by row against the independent ORACLES (plus cross-entropy by hand);
-    # gradients against central differences of the same hand-written rows.
+    # The batch is checked row by row against the independent ORACLES (plus
+    # cross-entropy by hand); gradients against central differences of the
+    # same hand-written rows.
     rng = np.random.default_rng(5)
     h = 1e-6
     for kind in ("none", "All", "-PP", "01", "-P1", "0P"):
@@ -249,16 +242,12 @@ def test_labels_outside_activity_range_raise():
             combined_loss_batch(p, np.array([label]), None, LossConfig())
         with pytest.raises(IndexError):
             combined_loss_batch(p, np.array([label]), np.ones((1, 3)), LossConfig("All", 1.0))
-        with pytest.raises(IndexError):
-            cross_entropy(p[0], label)
 
 
 def test_wrongly_shaped_mask_raises():
-    p = np.array([0.7, 0.2, 0.1])
-    for fn in SEMANTIC_FUNCTIONS.values():
+    p = np.array([[0.7, 0.2, 0.1]])
+    for kind in PENALTIES:
         with pytest.raises(ValueError):
-            fn(p, np.ones(2, dtype=bool))
+            combined_loss_batch(p, [0], np.ones((1, 2), dtype=bool), LossConfig(kind, 1.0))
     with pytest.raises(ValueError):
-        combined_loss(p, 0, np.ones(2, dtype=bool), LossConfig("All", 1.0))
-    with pytest.raises(ValueError):
-        combined_loss_batch(p[None], [0], np.ones(3, dtype=bool), LossConfig("-PP", 1.0))
+        combined_loss_batch(p, [0], np.ones(3, dtype=bool), LossConfig("-PP", 1.0))

@@ -115,11 +115,6 @@ def test_infusion_adds_classes_times_trunk_parameters():
     assert parameter_count(infused) - parameter_count(base) == 14 * 256
 
 
-def test_spec_dict_round_trip():
-    spec = tiny_spec(infusion=True, dropout=0.25)
-    assert NetworkSpec.from_dict(spec.to_dict()) == spec
-
-
 # ---------------------------------------------------------------------------
 # Forward semantics
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import copy
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -284,6 +284,14 @@ def test_single_sample_predict_matches_batch(tiny_model, tiny_net_spec, split):
     np.testing.assert_allclose(p, probs[4], atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_predict_rejects_a_dataset_that_is_not_one_window(tiny_model, tiny_net_spec, split, n):
+    model = TrainedModel("baseline", tiny_net_spec, build_network(tiny_net_spec, 0),
+                         tiny_model.activity_names, tiny_model.vocabulary, LossConfig())
+    with pytest.raises(ValueError, match=f"got {n} windows"):
+        predict(model, split[1].subset(np.arange(n)))
+
+
 @pytest.mark.parametrize("n", [1, INFER_BLOCK, INFER_BLOCK + 1, 3 * INFER_BLOCK + 5])
 @pytest.mark.parametrize("kind", ["semantic_loss", "symbolic_features", "context_refinement"])
 def test_predict_many_matches_predict_across_inference_blocks(tiny_model, tiny_net_spec,
@@ -314,7 +322,7 @@ def test_old_format_checkpoint_loads_and_predicts_as_before(tiny_model, tiny_net
     rng = np.random.default_rng(12)
     arrays = {name: rng.normal(scale=0.5, size=shape)
               for name, shape, _ in tiny_net_spec.parameter_shapes()}
-    meta = {"version": 1, "kind": "baseline", "spec": tiny_net_spec.to_dict(),
+    meta = {"version": 1, "kind": "baseline", "spec": asdict(tiny_net_spec),
             "activities": list(tiny_model.activity_names),
             "vocabulary": [{"name": d.name, "values": list(d.values),
                             "exclusive": d.exclusive}
@@ -342,23 +350,28 @@ def test_old_format_checkpoint_loads_and_predicts_as_before(tiny_model, tiny_net
 def test_checkpoint_round_trip_value_exact(tiny_model, tiny_net_spec, split, tmp_path):
     from nesyhar.context import DiscretizationConfig
     train_data, val_data = split
-    model = train(train_data, val_data, StrategyConfig("semantic_loss", LossConfig("0P", 4.0)),
-                  tiny_net_spec, seed=9, knowledge=tiny_model, cfg=FAST,
-                  window_seconds=4.0, discretization=DiscretizationConfig())
-    path = save_model(model, tmp_path / "model.npz")
-    loaded = load_model(path)
-    assert loaded.kind == model.kind
-    assert loaded.spec == model.spec
-    assert loaded.activities == model.activities
-    assert loaded.vocabulary == model.vocabulary
-    assert loaded.loss == model.loss
-    assert loaded.window_seconds == 4.0
-    assert loaded.discretization == model.discretization
-    for name in model.params:
-        np.testing.assert_array_equal(loaded.params[name], model.params[name])
-    _, probs_a, _ = predict_many(model, val_data)
-    _, probs_b, _ = predict_many(loaded, val_data)
-    np.testing.assert_array_equal(probs_a, probs_b)
+    assert tiny_net_spec.dropout > 0
+    # symbolic_features round-trips a spec with the infusion input
+    for strategy in (StrategyConfig("semantic_loss", LossConfig("0P", 4.0)),
+                     StrategyConfig("symbolic_features")):
+        model = train(train_data, val_data, strategy, tiny_net_spec, seed=9,
+                      knowledge=tiny_model, cfg=FAST, window_seconds=4.0,
+                      discretization=DiscretizationConfig())
+        path = save_model(model, tmp_path / f"{strategy.kind}.npz")
+        loaded = load_model(path)
+        assert loaded.kind == model.kind
+        assert loaded.spec == model.spec
+        assert loaded.spec.infusion == (strategy.kind == "symbolic_features")
+        assert loaded.activities == model.activities
+        assert loaded.vocabulary == model.vocabulary
+        assert loaded.loss == model.loss
+        assert loaded.window_seconds == 4.0
+        assert loaded.discretization == model.discretization
+        for name in model.params:
+            np.testing.assert_array_equal(loaded.params[name], model.params[name])
+        _, probs_a, _ = predict_many(model, val_data, tiny_model)
+        _, probs_b, _ = predict_many(loaded, val_data, tiny_model)
+        np.testing.assert_array_equal(probs_a, probs_b)
 
 
 @pytest.mark.parametrize("edit, message", [
