@@ -21,17 +21,17 @@ states = [
         ["location_type=outdoor", "speed=high", "transport_route=true"])),
 ]
 
-previous = None
-for title, state in states:
-    consistent = model.consistent_activities(state)
-    vector = model.consistency_vector(state)
+# one query answers every state: row i, column j is true iff activity j is
+# consistent with state i
+matrix = model.consistent_activities(
+    [model.vocabulary.encode_state(state) for _, state in states])
+for i, ((title, _), vector) in enumerate(zip(states, matrix)):
     print(f"-- {title}")
-    print(f"   consistent ({len(consistent)}): "
-          + ", ".join(a for a in model.activity_names if a in consistent))
-    print(f"   vector: {' '.join(map(str, vector))}")
-    if previous is not None:
+    print(f"   consistent ({vector.sum()}): "
+          + ", ".join(a for a, ok in zip(model.activity_names, vector) if ok))
+    print(f"   vector: {' '.join(str(int(ok)) for ok in vector)}")
+    if i:
         # more evidence never re-admits an excluded activity
-        assert consistent <= previous, "monotonicity violated"
-    previous = consistent
+        assert not (vector & ~matrix[i - 1]).any(), "monotonicity violated"
 print()
 print("each extra observation only ever shrank the consistent set (monotonicity).")

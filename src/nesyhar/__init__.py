@@ -40,7 +40,6 @@ from .knowledge import (
     ContextVocabulary,
     KnowledgeModel,
     RuleFileError,
-    literal_satisfied,
     load_knowledge,
     parse_knowledge,
 )

@@ -48,16 +48,14 @@ def cmd_reason(args) -> int:
 
     model = load_knowledge(args.rules)
     try:
-        state = ContextState.from_pairs(args.state)
-        model.vocabulary.validate_state(state)
+        row = model.vocabulary.encode_state(ContextState.from_pairs(args.state))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    consistent = model.consistent_activities(state)
-    names = [a for a in model.activity_names if a in consistent]
+    consistent = model.consistent_activities(row[None])[0]
+    names = [a for a, ok in zip(model.activity_names, consistent) if ok]
     print(f"consistent activities ({len(names)} of {model.num_activities}): "
           + (", ".join(names) if names else "(none)"))
-    print("consistency vector: "
-          + " ".join("1" if a in consistent else "0" for a in model.activity_names))
+    print("consistency vector: " + " ".join("1" if ok else "0" for ok in consistent))
     return 0
 
 
@@ -196,21 +194,25 @@ def cmd_audit(args) -> int:
     model = load_knowledge(args.rules)
     datasets = load_dataset(args.dataset)
     disc = DiscretizationConfig()
-    total = consistent = 0
-    per_activity: dict[str, list[int]] = {}
+    per_activity: dict[str, list[int]] = {}  # label -> [consistent, windows]
+    columns = {a: j for j, a in enumerate(model.activity_names)}
     for ds in datasets:
         windows = segment(ds, args.window_seconds, disc, model.vocabulary)
-        for label, state in zip(windows.labels, windows.states):
-            total += 1
-            ok = label in model.consistent_activities(state)
-            consistent += ok
-            per_activity.setdefault(label, [0, 0])[0] += ok
-            per_activity[label][1] += 1
-    if total == 0:
+        if not windows:
+            continue
+        matrix = model.consistent_activities(
+            [model.vocabulary.encode_state(s) for s in windows.states])
+        for row, label in zip(matrix, windows.labels):
+            counts = per_activity.setdefault(label, [0, 0])
+            # a label the rules do not list is inconsistent
+            counts[0] += label in columns and bool(row[columns[label]])
+            counts[1] += 1
+    if not per_activity:
         raise UsageError("dataset contains no labeled windows")
     for name in sorted(per_activity):
         ok, n = per_activity[name]
         print(f"{name:<24} {ok:5d}/{n:<5d} ({100.0 * ok / n:.1f}%)")
+    consistent, total = map(sum, zip(*per_activity.values()))
     print(f"label consistent with context: {consistent}/{total} "
           f"({100.0 * consistent / total:.1f}%)")
     return 0

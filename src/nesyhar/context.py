@@ -68,6 +68,12 @@ class RawContextRecord:
     transport_route_nearby: bool | None = None
     weather: str | None = None
 
+    def __post_init__(self):
+        for name in ("speed", "pressure_delta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class DiscretizationConfig:

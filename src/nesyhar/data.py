@@ -159,7 +159,7 @@ class EncodedDataset:
         return self.subset([i])
 
     def subset(self, indices) -> "EncodedDataset":
-        indices = np.asarray(indices)
+        indices = np.asarray(indices, dtype=np.intp)
         return EncodedDataset(self.phone[indices], self.watch[indices],
                               self.context[indices], self.labels[indices],
                               tuple(self.users[i] for i in indices),
@@ -470,10 +470,8 @@ def generate_synthetic(model: KnowledgeModel, cfg: SyntheticConfig,
     realizer = _StateRealizer(model.vocabulary, disc)
     k = model.num_activities
 
-    consistency = np.zeros((len(states), k), dtype=bool)
-    for s, state in enumerate(states):
-        consistent = model.consistent_activities(state)
-        consistency[s] = [a in consistent for a in model.activity_names]
+    consistency = model.consistent_activities(
+        [model.vocabulary.encode_state(s) for s in states])
     for i, name in enumerate(model.activity_names):
         if not consistency[:, i].any():
             raise ValueError(f"activity {name!r} has no realizable consistent context state")

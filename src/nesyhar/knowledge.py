@@ -48,7 +48,6 @@ __all__ = [
     "AnyOf",
     "KnowledgeModel",
     "RuleFileError",
-    "literal_satisfied",
     "parse_knowledge",
     "load_knowledge",
 ]
@@ -122,10 +121,6 @@ class ContextVocabulary:
         object.__setattr__(self, "_pred_index", index)
 
     @property
-    def predicates(self) -> tuple[ContextPredicate, ...]:
-        return tuple(self._pred_index)
-
-    @property
     def size(self) -> int:
         """Width of the multi-hot encoding."""
         return len(self._pred_index)
@@ -158,14 +153,6 @@ class ContextVocabulary:
         for pred in state.observed:
             vec[self._pred_index[pred]] = 1.0
         return vec
-
-    def decode_state(self, vector: np.ndarray) -> "ContextState":
-        """Inverse of :meth:`encode_state`."""
-        vector = np.asarray(vector)
-        if vector.shape != (self.size,):
-            raise ValueError(f"context vector has shape {vector.shape}, expected ({self.size},)")
-        preds = self.predicates
-        return ContextState(frozenset(preds[i] for i in np.flatnonzero(vector)))
 
 
 @dataclass(frozen=True)
@@ -204,37 +191,17 @@ class ContextState:
         return len(self.observed)
 
 
-def literal_satisfied(state: ContextState, literal: ContextPredicate,
-                      vocab: ContextVocabulary) -> bool:
-    """Open-world truth value of one positive literal.
-
-    True when the literal is observed, and also when its dimension is entirely
-    unobserved (absence of evidence does not violate a requirement). False only
-    when the dimension is observed with a different value and is exclusive.
-    """
-    if literal in state.observed:
-        return True
-    if not state.observes(literal.dimension):
-        return True
-    return not vocab.dimension(literal.dimension).exclusive
-
-
 class Requirement:
     """Boolean expression tree over positive context literals (AND/OR only)."""
 
-    def satisfied(self, state: ContextState, vocab: ContextVocabulary) -> bool:
-        raise NotImplementedError
-
     def literals(self) -> Iterable[ContextPredicate]:
-        raise NotImplementedError
+        for child in self.children:
+            yield from child.literals()
 
 
 @dataclass(frozen=True)
 class Literal(Requirement):
     predicate: ContextPredicate
-
-    def satisfied(self, state, vocab):
-        return literal_satisfied(state, self.predicate, vocab)
 
     def literals(self):
         yield self.predicate
@@ -247,13 +214,6 @@ class Literal(Requirement):
 class AllOf(Requirement):
     children: tuple[Requirement, ...]
 
-    def satisfied(self, state, vocab):
-        return all(c.satisfied(state, vocab) for c in self.children)
-
-    def literals(self):
-        for child in self.children:
-            yield from child.literals()
-
     def __str__(self):
         return "(" + " AND ".join(map(str, self.children)) + ")"
 
@@ -261,13 +221,6 @@ class AllOf(Requirement):
 @dataclass(frozen=True)
 class AnyOf(Requirement):
     children: tuple[Requirement, ...]
-
-    def satisfied(self, state, vocab):
-        return any(c.satisfied(state, vocab) for c in self.children)
-
-    def literals(self):
-        for child in self.children:
-            yield from child.literals()
 
     def __str__(self):
         return "(" + " OR ".join(map(str, self.children)) + ")"
@@ -281,36 +234,87 @@ class KnowledgeModel:
     columns) is its position in ``activity_names``. Immutable after
     construction; all queries are pure, so a single model is safe to share
     between concurrent callers.
+
+    The rules are compiled once, at construction, into the columns of a truth
+    table: one per context predicate (its literal), a true and a false
+    constant, one per AND/OR node, and last one AND node per activity over its
+    rules. A node's level is one more than its deepest child's;
+    :meth:`consistent_activities` fills the table level by level, with one
+    reduction per level and operator, in time linear in the size of the rules.
     """
 
     activity_names: tuple[str, ...]
     vocabulary: ContextVocabulary
     rules: Mapping[str, tuple[Requirement, ...]]
+    _rivals: np.ndarray = field(init=False, repr=False, compare=False)
+    _levels: tuple = field(init=False, repr=False, compare=False)
+    _width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.rules:
             if name not in self.activity_names:
                 raise ValueError(f"rule for unknown activity {name!r}")
+        vocab, dims = self.vocabulary, self.vocabulary.dimensions
+        true, false = vocab.size, vocab.size + 1
+        level = [0] * (vocab.size + 2)
+        groups: dict[tuple[int, bool], list] = {}  # (level, is AND) -> [(column, children)]
+
+        def add(is_and: bool, kids: list[int]) -> int:
+            kids = kids or [true if is_and else false]  # an empty AND holds, an empty OR fails
+            level.append(1 + max(level[c] for c in kids))
+            groups.setdefault((level[-1], is_and), []).append((len(level) - 1, kids))
+            return len(level) - 1
+
+        def column(req: Requirement) -> int:
+            if isinstance(req, Literal):
+                return vocab.index(req.predicate)
+            return add(isinstance(req, AllOf), [column(c) for c in req.children])
+
+        roots = [[column(r) for r in self.rules.get(a, ())] for a in self.activity_names]
+        for kids in roots:  # the activities take the last k columns
+            add(True, kids)
+        levels = []
+        for (_, is_and), group in sorted(groups.items()):
+            cols, kids = zip(*group)
+            levels.append((np.array(cols), np.array([c for k in kids for c in k]),
+                           np.cumsum([0, *map(len, kids[:-1])]),
+                           np.logical_and if is_and else np.logical_or))
+        # 1 where two predicates share an exclusive dimension
+        exclusive = np.array([d.exclusive for d in dims for _ in d.values], dtype=bool)
+        dim_of = np.array([i for i, d in enumerate(dims) for _ in d.values])
+        object.__setattr__(self, "_rivals", ((dim_of[:, None] == dim_of) & exclusive) * 1.0)
+        object.__setattr__(self, "_levels", tuple(levels))
+        object.__setattr__(self, "_width", len(level))
 
     @property
     def num_activities(self) -> int:
         return len(self.activity_names)
 
-    def is_consistent(self, activity: str, state: ContextState) -> bool:
-        """True when every necessary condition of the activity holds under the state."""
-        return all(req.satisfied(state, self.vocabulary)
-                   for req in self.rules.get(activity, ()))
+    def consistent_activities(self, context: np.ndarray) -> np.ndarray:
+        """(n, k) bool matrix over encoded context rows (array-like, n x size):
+        entry (i, j) is true iff no rule of activity j is violated by row i.
 
-    def consistent_activities(self, state: ContextState) -> frozenset[str]:
-        """The set of activities not excluded by any rule given the observed context."""
-        self.vocabulary.validate_state(state)
-        return frozenset(a for a in self.activity_names if self.is_consistent(a, state))
-
-    def consistency_vector(self, state: ContextState) -> np.ndarray:
-        """Binary vector of length k: 1 at index i iff activity i is context-consistent."""
-        consistent = self.consistent_activities(state)
-        return np.array([1 if a in consistent else 0 for a in self.activity_names],
-                        dtype=np.int64)
+        A nonzero entry counts as observed. Raises ValueError for rows of the
+        wrong width or with more than one value on an exclusive dimension.
+        """
+        context = np.asarray(context)
+        size = self.vocabulary.size
+        if context.ndim != 2 or context.shape[1] != size:
+            raise ValueError(f"context rows have shape {context.shape}, expected (n, {size})")
+        observed = context != 0
+        # per predicate, the values observed on its dimension if that is exclusive
+        rivals = observed @ self._rivals
+        if (rivals > 1).any():
+            clash = int(np.argmax((rivals > 1).any(axis=0)))
+            name = [d.name for d in self.vocabulary.dimensions for _ in d.values][clash]
+            raise ValueError(f"multiple values observed for exclusive dimension {name!r}")
+        values = np.empty((len(context), self._width), dtype=bool)
+        # a literal fails only when its exclusive dimension holds another value
+        values[:, :size] = observed | (rivals == 0)
+        values[:, size:size + 2] = (True, False)
+        for columns, children, starts, op in self._levels:
+            values[:, columns] = op.reduceat(values[:, children], starts, axis=1)
+        return values[:, self._width - self.num_activities:]
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ class StrategyConfig:
     @property
     def label(self) -> str:
         if self.kind == "semantic_loss":
-            return f"semantic_loss[{self.loss.semantic_type},a={self.loss.alpha:g}]"
+            alpha = "grid" if self.searches_alpha else f"{self.loss.alpha:g}"
+            return f"semantic_loss[{self.loss.semantic_type},a={alpha}]"
         return self.kind
 
     def training_signature(self) -> tuple:
@@ -175,25 +176,14 @@ class TrainedModel:
 
 
 def consistency_masks(knowledge: KnowledgeModel, dataset: EncodedDataset) -> np.ndarray:
-    """Per-sample binary consistency vectors, with one reasoner call per
-    distinct context state (states are discrete and few, and the reasoner is
-    pure, so caching is sound)."""
+    """Per-sample binary consistency vectors: one reasoner query over the
+    dataset's encoded context rows."""
     if knowledge.vocabulary != dataset.vocabulary:
         raise ValueError("dataset and knowledge model use different context vocabularies")
     if knowledge.activity_names != dataset.activities:
         raise ValueError("dataset and knowledge model list the activities in a different "
                          "order or set")
-    cache: dict[bytes, np.ndarray] = {}
-    masks = np.empty((len(dataset), knowledge.num_activities), dtype=np.float64)
-    for i, row in enumerate(dataset.context):
-        key = row.tobytes()
-        vec = cache.get(key)
-        if vec is None:
-            state = dataset.vocabulary.decode_state(row)
-            vec = knowledge.consistency_vector(state).astype(np.float64)
-            cache[key] = vec
-        masks[i] = vec
-    return masks
+    return knowledge.consistent_activities(dataset.context).astype(np.float64)
 
 
 def train(train_data: EncodedDataset, val_data: EncodedDataset, strategy: StrategyConfig,

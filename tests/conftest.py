@@ -63,3 +63,14 @@ def make_encoded(model, spec, n, seed, separable=True):
         phone=phone, watch=watch, context=context, labels=labels,
         users=tuple(f"u{i % 3}" for i in range(n)),
         activities=model.activity_names, vocabulary=model.vocabulary)
+
+
+def consistency_row(model, state):
+    """The compiled reasoner's row for one state: k bools in activity order."""
+    return model.consistent_activities(model.vocabulary.encode_state(state)[None])[0]
+
+
+def consistent_names(model, state):
+    """The activities the compiled reasoner finds consistent with one state."""
+    return frozenset(a for a, ok in zip(model.activity_names, consistency_row(model, state))
+                     if ok)

@@ -50,7 +50,7 @@ from nesyhar.strategies import (
     train,
 )
 
-from conftest import make_encoded
+from conftest import consistent_names, make_encoded
 from test_knowledge import random_model_and_states
 
 REFERENCE_CONFIG = Path("configs/synthetic_reference.yaml")
@@ -156,16 +156,14 @@ def test_criterion_4_reasoner_properties():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         model, smaller, larger = random_model_and_states(rng)
-        a_small = model.consistent_activities(smaller)
-        a_large = model.consistent_activities(larger)
+        a_small = consistent_names(model, smaller)
+        a_large = consistent_names(model, larger)
         assert a_large <= a_small, f"monotonicity violated at seed {seed}"
-        assert model.consistent_activities(smaller) == a_small
+        assert consistent_names(model, smaller) == a_small
 
     domino = load_knowledge("configs/domino.rules")
-    outdoor = domino.consistent_activities(
-        ContextState.from_pairs(["location_type=outdoor"]))
-    off_route = domino.consistent_activities(
-        ContextState.from_pairs(["transport_route=false"]))
+    outdoor = consistent_names(domino, ContextState.from_pairs(["location_type=outdoor"]))
+    off_route = consistent_names(domino, ContextState.from_pairs(["transport_route=false"]))
     ok = ("brushing_teeth" not in outdoor
           and "sitting_on_transport" not in off_route
           and "standing_on_transport" not in off_route)
@@ -185,20 +183,14 @@ def test_criterion_5_semantic_loss_inference_independence(
                   StrategyConfig("semantic_loss", LossConfig("All", 2.0)),
                   tiny_net_spec, seed=0, knowledge=tiny_model,
                   cfg=TrainConfig(epochs=2, batch_size=16))
-    calls = {"consistent_activities": 0, "consistency_vector": 0}
+    calls = {"consistent_activities": 0}
     original_ca = KnowledgeModel.consistent_activities
-    original_cv = KnowledgeModel.consistency_vector
 
-    def counting_ca(self, state):
+    def counting_ca(self, context):
         calls["consistent_activities"] += 1
-        return original_ca(self, state)
-
-    def counting_cv(self, state):
-        calls["consistency_vector"] += 1
-        return original_cv(self, state)
+        return original_ca(self, context)
 
     monkeypatch.setattr(KnowledgeModel, "consistent_activities", counting_ca)
-    monkeypatch.setattr(KnowledgeModel, "consistency_vector", counting_cv)
     preds, probs, _ = predict_many(model, val_data, knowledge=tiny_model)
     total = sum(calls.values())
     report_line("5 semantic-loss inference performs zero knowledge calls",

@@ -90,6 +90,30 @@ def test_audit_zero_violation_is_fully_consistent(tmp_path, capsys):
     assert "60/60 (100.0%)" in out
 
 
+def test_audit_counts_a_label_the_rules_do_not_list_as_inconsistent(tmp_path, capsys):
+    cfg = write_config(tmp_path, dataset={"synthetic": {
+        "users": 2, "windows_per_user": 6, "violation_rate": 0.5, "seed": 3}})
+    main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")])
+    path = tmp_path / "ds" / "annotations.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    for i in (2, 9):
+        user, _, t_start, t_end = lines[i].split(",")
+        lines[i] = ",".join([user, "flying", t_start, t_end])
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    rc = main(["audit", "--dataset", str(tmp_path / "ds"),
+               "--rules", "configs/synthetic.rules"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "cycling                      1/1     (100.0%)\n"
+        "flying                       0/2     (0.0%)\n"
+        "on_transport                 2/2     (100.0%)\n"
+        "running                      3/4     (75.0%)\n"
+        "sitting                      2/2     (100.0%)\n"
+        "walking                      0/1     (0.0%)\n"
+        "label consistent with context: 8/12 (66.7%)\n")
+
+
 @pytest.mark.parametrize("seconds", ["0", "-4", "nan", "inf"])
 def test_audit_window_seconds_must_be_positive_and_finite(tmp_path, seconds):
     with pytest.raises(SystemExit) as exc:
@@ -177,7 +201,7 @@ def test_run_semantic_loss_without_alpha_or_grid_is_config_error(tmp_path, capsy
     rc = main(["run", "--config", str(write_config(tmp_path, strategies=strategies,
                                                     alpha_grid=[]))])
     assert rc == 2
-    assert "alpha_grid: empty, but semantic_loss[All,a=0]" in capsys.readouterr().err
+    assert "alpha_grid: empty, but semantic_loss[All,a=grid]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     from nesyhar.config import load_config
     cfg = load_config(write_config(tmp_path, strategies=strategies, alpha_grid=[1, 2]))

@@ -104,3 +104,10 @@ def test_invalid_config_rejected():
         DiscretizationConfig(speed_thresholds=(2.0, 1.0, 7.0))
     with pytest.raises(ValueError, match="epsilon"):
         DiscretizationConfig(height_epsilon=0.0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name", ["speed", "pressure_delta"])
+def test_record_rejects_a_non_finite_measurement(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RawContextRecord(0.0, **{name: value})

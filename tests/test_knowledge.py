@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nesyhar.context import DiscretizationConfig
+from nesyhar.data import enumerate_realizable_states
 from nesyhar.knowledge import (
     AllOf,
     AnyOf,
@@ -13,10 +17,12 @@ from nesyhar.knowledge import (
     KnowledgeModel,
     Literal,
     RuleFileError,
-    literal_satisfied,
     load_knowledge,
     parse_knowledge,
 )
+
+from conftest import consistency_row, consistent_names
+from knowledge_reference import reference_consistent
 
 RULES_DIR = "configs"
 
@@ -50,7 +56,7 @@ def test_zero_rules_file_everything_consistent():
     text = MINI_RULES.split("[rules]")[0]
     model = parse_knowledge(text)
     state = ContextState.from_pairs(["location_type=outdoor"])
-    assert model.consistent_activities(state) == {"brushing_teeth", "walking"}
+    assert consistent_names(model, state) == {"brushing_teeth", "walking"}
 
 
 def test_unknown_predicate_rejected():
@@ -117,23 +123,29 @@ VOCAB = ContextVocabulary((
 ))
 
 
+def literal_holds(state, predicate):
+    """The compiled reasoner's verdict on a one-literal rule."""
+    model = KnowledgeModel(("a",), VOCAB, {"a": (Literal(predicate),)})
+    return bool(consistency_row(model, state)[0])
+
+
 def test_literal_direct_match():
     state = ContextState.from_pairs(["location_type=indoor"])
-    assert literal_satisfied(state, ContextPredicate("location_type", "indoor"), VOCAB)
+    assert literal_holds(state, ContextPredicate("location_type", "indoor"))
 
 
 def test_literal_exclusive_contradiction():
     state = ContextState.from_pairs(["location_type=outdoor"])
-    assert not literal_satisfied(state, ContextPredicate("location_type", "indoor"), VOCAB)
+    assert not literal_holds(state, ContextPredicate("location_type", "indoor"))
 
 
 def test_literal_open_world_default():
-    assert literal_satisfied(ContextState(), ContextPredicate("location_type", "indoor"), VOCAB)
+    assert literal_holds(ContextState(), ContextPredicate("location_type", "indoor"))
 
 
 def test_literal_non_exclusive_never_contradicts():
     state = ContextState.from_pairs(["tags=pet"])
-    assert literal_satisfied(state, ContextPredicate("tags", "child"), VOCAB)
+    assert literal_holds(state, ContextPredicate("tags", "child"))
 
 
 def test_state_exclusivity_validated():
@@ -142,54 +154,148 @@ def test_state_exclusivity_validated():
         VOCAB.validate_state(state)
 
 
+def test_query_rejects_two_values_on_an_exclusive_dimension():
+    model = KnowledgeModel(("a",), VOCAB, {})
+    rows = np.zeros((3, VOCAB.size))
+    rows[1, :2] = 1.0   # location_type=indoor and location_type=outdoor
+    with pytest.raises(ValueError, match="exclusive dimension 'location_type'"):
+        model.consistent_activities(rows)
+    rows[1, :2] = 0.0
+    rows[2, 2:] = 1.0   # both tags: the dimension is not exclusive
+    assert model.consistent_activities(rows).all()
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 5), (1, 2, 4)])
+def test_query_rejects_rows_of_the_wrong_shape(shape):
+    model = KnowledgeModel(("a",), VOCAB, {})
+    with pytest.raises(ValueError, match="expected"):
+        model.consistent_activities(np.zeros(shape))
+
+
+def test_query_counts_any_nonzero_entry_as_observed():
+    model = KnowledgeModel(("a",), VOCAB, {
+        "a": (Literal(ContextPredicate("location_type", "indoor")),)})
+    rows = np.zeros((3, VOCAB.size))
+    rows[0, 1] = 0.5
+    rows[1, 1] = -2.0
+    rows[2, 1] = np.nan
+    assert not model.consistent_activities(rows).any()
+
+
 # ---------------------------------------------------------------------------
 # Consistency reasoning on the shipped rule files
 # ---------------------------------------------------------------------------
 
 def test_brushing_teeth_excluded_outdoors(domino):
     state = ContextState.from_pairs(["location_type=outdoor"])
-    consistent = domino.consistent_activities(state)
+    consistent = consistent_names(domino, state)
     assert "brushing_teeth" not in consistent
     assert "walking" in consistent
 
 
 def test_transport_excluded_off_route(domino):
     state = ContextState.from_pairs(["transport_route=false"])
-    consistent = domino.consistent_activities(state)
+    consistent = consistent_names(domino, state)
     assert "sitting_on_transport" not in consistent
     assert "standing_on_transport" not in consistent
 
 
 def test_empty_state_everything_consistent(domino):
-    assert domino.consistent_activities(ContextState()) == set(domino.activity_names)
-    assert domino.consistency_vector(ContextState()).tolist() == [1] * 14
+    assert consistent_names(domino, ContextState()) == set(domino.activity_names)
+    assert consistency_row(domino, ContextState()).astype(int).tolist() == [1] * 14
 
 
 def test_domino_outdoor_vector_hand_derived(domino):
     # Hand evaluation of configs/domino.rules under {location_type=outdoor}:
     # only lying, elevator_up, elevator_down and brushing_teeth carry an
     # unconditional location_type=indoor literal.
-    state = ContextState.from_pairs(["location_type=outdoor"])
-    vec = domino.consistency_vector(state)
+    vec = consistency_row(domino, ContextState.from_pairs(["location_type=outdoor"]))
     expected = [1, 1, 1, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0]
-    assert vec.tolist() == expected
+    assert vec.astype(int).tolist() == expected
     assert domino.activity_names[3] == "lying"
     assert domino.activity_names[13] == "brushing_teeth"
 
 
 def test_vector_matches_set_size(domino):
     state = ContextState.from_pairs(["speed=high", "location_type=outdoor"])
-    consistent = domino.consistent_activities(state)
-    vec = domino.consistency_vector(state)
+    consistent = consistent_names(domino, state)
+    vec = consistency_row(domino, state)
     assert int(vec.sum()) == len(consistent)
-    assert vec.shape == (14,)
+    assert vec.shape == (14,) and vec.dtype == bool
 
 
 def test_determinism(domino):
     state = ContextState.from_pairs(["speed=low", "weather=rainy"])
-    assert domino.consistent_activities(state) == domino.consistent_activities(state)
-    np.testing.assert_array_equal(domino.consistency_vector(state),
-                                  domino.consistency_vector(state))
+    assert consistent_names(domino, state) == consistent_names(domino, state)
+    np.testing.assert_array_equal(consistency_row(domino, state), consistency_row(domino, state))
+
+
+# ---------------------------------------------------------------------------
+# The compiled query against the tree-walking oracle
+# ---------------------------------------------------------------------------
+
+def assert_matches_oracle(model, states):
+    matrix = model.consistent_activities(
+        np.stack([model.vocabulary.encode_state(s) for s in states]))
+    assert matrix.shape == (len(states), model.num_activities) and matrix.dtype == bool
+    for state, row in zip(states, matrix):
+        names = frozenset(a for a, ok in zip(model.activity_names, row) if ok)
+        assert names == reference_consistent(model, state), state
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_query_matches_oracle_on_random_models(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        model, smaller, larger = random_model_and_states(rng)
+        assert_matches_oracle(model, [ContextState(), smaller, larger])
+
+
+@pytest.mark.parametrize("rules", ["domino.rules", "synthetic.rules"])
+def test_query_matches_oracle_on_every_realizable_state(rules):
+    model = load_knowledge(f"{RULES_DIR}/{rules}")
+    states = enumerate_realizable_states(model.vocabulary, DiscretizationConfig())
+    assert len(states) > 100
+    assert_matches_oracle(model, states)
+
+
+NESTED_RULES = """
+[activities]
+deep
+free
+twice
+
+[contexts]
+d1 (exclusive): x, y
+d2 (exclusive): u, v
+d3 (exclusive): p, q
+tags (multi): t1, t2
+
+[rules]
+deep: d1=x AND (d2=u OR (d3=p AND (d1=y OR tags=t1)))
+twice: d1=x
+twice: d1=x
+twice: d2=v OR tags=t2
+"""
+
+
+def test_query_matches_oracle_on_nested_repeated_and_multi_rules():
+    model = parse_knowledge(NESTED_RULES)
+    options = [[()] + [((d.name, v),) for v in d.values]
+               if d.exclusive else
+               [tuple((d.name, v) for v in chosen) for r in range(len(d.values) + 1)
+                for chosen in itertools.combinations(d.values, r)]
+               for d in model.vocabulary.dimensions]
+    states = [ContextState.from_pairs(itertools.chain(*combo))
+              for combo in itertools.product(*options)]
+    assert len(states) == 3 * 3 * 3 * 4
+    assert_matches_oracle(model, states)
+    # hand-derived: with d3 unobserved, tags=t1 (never contradicted) keeps deep
+    assert consistent_names(model, ContextState.from_pairs(["d1=x", "d2=v"])) == {
+        "deep", "free", "twice"}
+    assert consistent_names(model, ContextState.from_pairs(["d1=x", "d2=v", "d3=q"])) == {
+        "free", "twice"}
+    assert consistent_names(model, ContextState.from_pairs(["d1=y"])) == {"free"}
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +341,10 @@ def test_monotonicity_randomized(seed):
     rng = np.random.default_rng(seed)
     for _ in range(8):
         model, smaller, larger = random_model_and_states(rng)
-        a_small = model.consistent_activities(smaller)
-        a_large = model.consistent_activities(larger)
+        a_small = consistent_names(model, smaller)
+        a_large = consistent_names(model, larger)
         assert a_large <= a_small
-        assert model.consistent_activities(larger) == a_large
+        assert consistent_names(model, larger) == a_large
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -248,6 +354,6 @@ def test_unconstrained_activity_always_consistent(seed):
     model, smaller, larger = random_model_and_states(rng)
     unconstrained = [a for a in model.activity_names if a not in model.rules]
     for state in (smaller, larger):
-        consistent = model.consistent_activities(state)
+        consistent = consistent_names(model, state)
         for name in unconstrained:
             assert name in consistent

@@ -243,9 +243,9 @@ def test_semantic_loss_prediction_invokes_no_reasoning(tiny_model, tiny_net_spec
     calls = {"n": 0}
     original = KnowledgeModel.consistent_activities
 
-    def counting(self, state):
+    def counting(self, context):
         calls["n"] += 1
-        return original(self, state)
+        return original(self, context)
 
     monkeypatch.setattr(KnowledgeModel, "consistent_activities", counting)
     _, probs, diags = predict_many(model, split[1], knowledge=tiny_model)
@@ -274,6 +274,13 @@ def test_consistency_masks_reject_other_activity_order(tiny_model, split):
     assert reordered.vocabulary == tiny_model.vocabulary
     with pytest.raises(ValueError, match="activities"):
         consistency_masks(reordered, split[1])
+
+
+def test_consistency_masks_reject_two_values_on_an_exclusive_dimension(tiny_model, split):
+    data = split[1].subset(np.arange(len(split[1])))
+    data.context[3, :3] = 1.0   # motion=still, slow and fast at once
+    with pytest.raises(ValueError, match="exclusive dimension 'motion'"):
+        consistency_masks(tiny_model, data)
 
 
 def test_single_sample_predict_matches_batch(tiny_model, tiny_net_spec, split):
