@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 __all__ = ["main"]
@@ -161,8 +162,9 @@ def cmd_classify(args) -> int:
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for ds in datasets:
-            windows = segment(ds, model.window_seconds, model.discretization,
-                              model.vocabulary, keep_unlabeled=True)
+            # classify outputs no labels: any annotation label is irrelevant
+            windows = segment(replace(ds, annotations=[]), model.window_seconds,
+                              model.discretization, model.vocabulary, keep_unlabeled=True)
             if not windows:
                 continue
             encoded = encode_windows(windows, model.vocabulary, model.activities)

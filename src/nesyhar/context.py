@@ -14,7 +14,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .knowledge import ContextPredicate, ContextState, ContextVocabulary
 
@@ -105,20 +105,39 @@ class DiscretizationConfig:
         return SPEED_CLASSES[-1]
 
 
-def _mode(values: Sequence[str]) -> str:
-    """Most frequent value; ties broken lexicographically for determinism."""
-    counts = Counter(values)
-    best = max(counts.values())
-    return min(v for v, c in counts.items() if c == best)
+def _mapped_mode(texts: Iterable[str | None], mapping: Mapping[str, str],
+                 what: str) -> str | None:
+    """Most frequent mapped value of the provider strings present, ties broken
+    lexicographically; unmapped strings are logged and skipped."""
+    counts = Counter()
+    for text in texts:
+        if text is not None:
+            value = mapping.get(text.strip().lower())
+            if value is None:
+                log.warning("unmapped %s %r; ignoring record", what, text)
+            else:
+                counts[value] += 1
+    best = max(counts.values(), default=0)
+    return min((v for v, c in counts.items() if c == best), default=None)
+
+
+def _sum(values: Sequence[float], divisor: int = 1) -> float:
+    """The exact sum of ``values`` over ``divisor``, rounded to a float (±inf
+    beyond the float range)."""
+    try:
+        return math.fsum(values) / divisor
+    except OverflowError:  # scaled by 2**-k, which is exact, the sum fits in a float
+        k = len(values).bit_length() + 1
+        return math.fsum(math.ldexp(v, -k) for v in values) / divisor * 2.0 ** k
 
 
 def aggregate_context(records: Sequence[RawContextRecord], cfg: DiscretizationConfig,
                       vocab: ContextVocabulary) -> ContextState:
     """Derive the discrete context state of one window from its raw records.
 
-    Only dimensions declared in ``vocab`` are emitted. Provider strings without
-    a mapping (or mapping to an undeclared value) are logged and skipped, never
-    a hard failure.
+    Only dimensions declared in ``vocab`` are emitted, each at most once, so
+    the state always encodes. Provider strings without a mapping (or mapping
+    to an undeclared value) are logged and skipped, never a hard failure.
     """
     preds: list[ContextPredicate] = []
 
@@ -134,51 +153,31 @@ def aggregate_context(records: Sequence[RawContextRecord], cfg: DiscretizationCo
 
     speeds = [r.speed for r in records if r.speed is not None]
     if speeds:
-        emit(SPEED, cfg.speed_class(math.fsum(speeds) / len(speeds)))
+        emit(SPEED, cfg.speed_class(_sum(speeds, len(speeds))))
 
     deltas = [r.pressure_delta for r in records if r.pressure_delta is not None]
     if deltas:
-        total = math.fsum(deltas)
+        total = _sum(deltas)
         if abs(total) <= cfg.height_epsilon:
             emit(HEIGHT_VARIATION, "null")
         else:
             # Barometric pressure drops as elevation rises.
             emit(HEIGHT_VARIATION, "positive" if total < 0 else "negative")
 
-    raw_places = [r.semantic_place for r in records if r.semantic_place is not None]
-    if raw_places:
-        mapped = []
-        for place in raw_places:
-            value = cfg.place_map.get(place.strip().lower())
-            if value is None:
-                log.warning("unmapped semantic place %r; ignoring record", place)
-            else:
-                mapped.append(value)
-        if mapped:
-            place = _mode(mapped)
-            emit(SEMANTIC_PLACE, place)
-            location = cfg.place_location.get(place)
-            if location is None:
-                log.warning("no indoor/outdoor mapping for place %r", place)
-            else:
-                emit(LOCATION_TYPE, location)
+    place = _mapped_mode((r.semantic_place for r in records), cfg.place_map, "semantic place")
+    if place is not None:
+        emit(SEMANTIC_PLACE, place)
+        location = cfg.place_location.get(place)
+        if location is None:
+            log.warning("no indoor/outdoor mapping for place %r", place)
+        else:
+            emit(LOCATION_TYPE, location)
 
     routes = [r.transport_route_nearby for r in records if r.transport_route_nearby is not None]
     if routes:
         emit(TRANSPORT_ROUTE, "true" if sum(routes) * 2 >= len(routes) else "false")
 
-    raw_weather = [r.weather for r in records if r.weather is not None]
-    if raw_weather:
-        mapped = []
-        for w in raw_weather:
-            value = cfg.weather_map.get(w.strip().lower())
-            if value is None:
-                log.warning("unmapped weather string %r; ignoring record", w)
-            else:
-                mapped.append(value)
-        if mapped:
-            emit(WEATHER, _mode(mapped))
-
-    state = ContextState(frozenset(preds))
-    vocab.validate_state(state)
-    return state
+    weather = _mapped_mode((r.weather for r in records), cfg.weather_map, "weather string")
+    if weather is not None:
+        emit(WEATHER, weather)
+    return ContextState(frozenset(preds))

@@ -466,20 +466,20 @@ def generate_synthetic(model: KnowledgeModel, cfg: SyntheticConfig,
     inertial channels follow the activity's signature templates plus noise.
     """
     disc = disc or DiscretizationConfig()
-    states = enumerate_realizable_states(model.vocabulary, disc)
-    realizer = _StateRealizer(model.vocabulary, disc)
+    vocab = model.vocabulary
+    states = enumerate_realizable_states(vocab, disc)
+    realizer = _StateRealizer(vocab, disc)
     k = model.num_activities
 
-    consistency = model.consistent_activities(
-        [model.vocabulary.encode_state(s) for s in states])
+    rows = np.stack([vocab.encode_state(s) for s in states])
+    consistency = model.consistent_activities(rows)
     for i, name in enumerate(model.activity_names):
         if not consistency[:, i].any():
             raise ValueError(f"activity {name!r} has no realizable consistent context state")
 
-    unobserved_counts = np.array([
-        sum(1 for d in model.vocabulary.dimensions if not st.observes(d.name))
-        for st in states], dtype=np.float64)
-    bias_weights = cfg.unobserved_bias ** unobserved_counts
+    # per state and dimension, the number of values observed
+    observed = rows @ (vocab.dimension_of[:, None] == np.arange(len(vocab.dimensions)))
+    bias_weights = cfg.unobserved_bias ** (observed == 0).sum(axis=1).astype(np.float64)
     consistent_probs = []
     for i in range(k):
         w = np.where(consistency[:, i], bias_weights, 0.0)

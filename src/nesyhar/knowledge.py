@@ -26,6 +26,10 @@ Rule file grammar (one directive per line, ``#`` starts a comment)::
 
 AND binds tighter than OR; parentheses group. Identifiers match
 ``[A-Za-z0-9_]+``. Every symbol used in a rule must be declared above.
+
+:class:`ContextVocabulary` alone owns the multi-hot layout of context rows and
+the exclusivity check (:meth:`ContextVocabulary.rival_counts`), which both
+state encoding and the reasoner's queries go through.
 """
 
 from __future__ import annotations
@@ -100,25 +104,34 @@ class ContextVocabulary:
     """Ordered collection of context dimensions.
 
     The predicate order (dimension declaration order, then value order) fixes
-    the layout of multi-hot context vectors everywhere in the toolkit.
+    the layout of multi-hot context vectors everywhere in the toolkit;
+    ``dimension_of[i]`` is the index in ``dimensions`` of predicate i.
     """
 
     dimensions: tuple[ContextDimension, ...]
     _by_name: dict = field(init=False, repr=False, compare=False)
     _pred_index: dict = field(init=False, repr=False, compare=False)
+    dimension_of: np.ndarray = field(init=False, repr=False, compare=False)
+    _rivals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        dims = self.dimensions
         by_name = {}
-        for dim in self.dimensions:
+        for dim in dims:
             if dim.name in by_name:
                 raise ValueError(f"duplicate context dimension {dim.name!r}")
             if len(set(dim.values)) != len(dim.values):
                 raise ValueError(f"duplicate value in context dimension {dim.name!r}")
             by_name[dim.name] = dim
         index = {p: i for i, p in enumerate(
-            ContextPredicate(d.name, v) for d in self.dimensions for v in d.values)}
+            ContextPredicate(d.name, v) for d in dims for v in d.values)}
+        dim_of = np.array([i for i, d in enumerate(dims) for _ in d.values], dtype=np.intp)
+        exclusive = np.array([dims[i].exclusive for i in dim_of], dtype=bool)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_pred_index", index)
+        object.__setattr__(self, "dimension_of", dim_of)
+        # 1 where two predicates share an exclusive dimension
+        object.__setattr__(self, "_rivals", ((dim_of[:, None] == dim_of) & exclusive) * 1.0)
 
     @property
     def size(self) -> int:
@@ -137,21 +150,25 @@ class ContextVocabulary:
     def index(self, predicate: ContextPredicate) -> int:
         return self._pred_index[predicate]
 
-    def validate_state(self, state: "ContextState") -> None:
-        """Raise ValueError if the state uses unknown predicates or breaks exclusivity."""
+    def rival_counts(self, observed: np.ndarray) -> np.ndarray:
+        """Per row of a bool (n, size) observed matrix and per predicate, the values
+        observed on its dimension if that is exclusive (else 0); raises ValueError
+        when a row observes two values on an exclusive dimension."""
+        counts = observed @ self._rivals
+        if (counts > 1).any():
+            name = self.dimensions[self.dimension_of[np.argmax((counts > 1).any(axis=0))]].name
+            raise ValueError(f"multiple values observed for exclusive dimension {name!r}")
+        return counts
+
+    def encode_state(self, state: "ContextState") -> np.ndarray:
+        """Multi-hot vector with a 1 at each observed predicate's index; raises
+        ValueError for an unknown predicate or two values on an exclusive dimension."""
+        vec = np.zeros(self.size, dtype=np.float64)
         for pred in state.observed:
             if pred not in self._pred_index:
                 raise ValueError(f"predicate {pred} not in context vocabulary")
-        for dim in self.dimensions:
-            if dim.exclusive and len(state.dimension_values(dim.name)) > 1:
-                raise ValueError(f"multiple values observed for exclusive dimension {dim.name!r}")
-
-    def encode_state(self, state: "ContextState") -> np.ndarray:
-        """Multi-hot vector with a 1 at each observed predicate's index."""
-        self.validate_state(state)
-        vec = np.zeros(self.size, dtype=np.float64)
-        for pred in state.observed:
             vec[self._pred_index[pred]] = 1.0
+        self.rival_counts(vec[None] != 0)
         return vec
 
 
@@ -246,7 +263,6 @@ class KnowledgeModel:
     activity_names: tuple[str, ...]
     vocabulary: ContextVocabulary
     rules: Mapping[str, tuple[Requirement, ...]]
-    _rivals: np.ndarray = field(init=False, repr=False, compare=False)
     _levels: tuple = field(init=False, repr=False, compare=False)
     _width: int = field(init=False, repr=False, compare=False)
 
@@ -254,7 +270,7 @@ class KnowledgeModel:
         for name in self.rules:
             if name not in self.activity_names:
                 raise ValueError(f"rule for unknown activity {name!r}")
-        vocab, dims = self.vocabulary, self.vocabulary.dimensions
+        vocab = self.vocabulary
         true, false = vocab.size, vocab.size + 1
         level = [0] * (vocab.size + 2)
         groups: dict[tuple[int, bool], list] = {}  # (level, is AND) -> [(column, children)]
@@ -279,10 +295,6 @@ class KnowledgeModel:
             levels.append((np.array(cols), np.array([c for k in kids for c in k]),
                            np.cumsum([0, *map(len, kids[:-1])]),
                            np.logical_and if is_and else np.logical_or))
-        # 1 where two predicates share an exclusive dimension
-        exclusive = np.array([d.exclusive for d in dims for _ in d.values], dtype=bool)
-        dim_of = np.array([i for i, d in enumerate(dims) for _ in d.values])
-        object.__setattr__(self, "_rivals", ((dim_of[:, None] == dim_of) & exclusive) * 1.0)
         object.__setattr__(self, "_levels", tuple(levels))
         object.__setattr__(self, "_width", len(level))
 
@@ -302,12 +314,7 @@ class KnowledgeModel:
         if context.ndim != 2 or context.shape[1] != size:
             raise ValueError(f"context rows have shape {context.shape}, expected (n, {size})")
         observed = context != 0
-        # per predicate, the values observed on its dimension if that is exclusive
-        rivals = observed @ self._rivals
-        if (rivals > 1).any():
-            clash = int(np.argmax((rivals > 1).any(axis=0)))
-            name = [d.name for d in self.vocabulary.dimensions for _ in d.values][clash]
-            raise ValueError(f"multiple values observed for exclusive dimension {name!r}")
+        rivals = self.vocabulary.rival_counts(observed)
         values = np.empty((len(context), self._width), dtype=bool)
         # a literal fails only when its exclusive dimension holds another value
         values[:, :size] = observed | (rivals == 0)

@@ -4,7 +4,7 @@ The architecture has two 1D-convolutional branches (phone and watch inertial
 windows), a small dense branch for the multi-hot context vector, and a trunk
 that concatenates the three feature vectors (plus an optional
 consistency-vector input), applies dropout, a dense layer, and a softmax head.
-The standard configuration uses conv filters (32, 64, 96) with kernels
+The default ``NetworkConfig`` uses conv filters (32, 64, 96) with kernels
 (24, 16, 8) on the phone branch and (16, 8, 4) on the watch branch, max-pool 4
 between conv blocks, a global max pool, dense 128 per inertial branch, dense 8
 for context, dropout 0.1, and a dense 256 trunk.
@@ -146,19 +146,6 @@ class NetworkSpec:
                 raise NetworkSpecError(f"{key} must be >= 1, got {getattr(self, key)}")
         self.phone.stage_lengths("phone")
         self.watch.stage_lengths("watch")
-
-    @classmethod
-    def standard(cls, phone_channels: int, watch_channels: int, phone_length: int,
-                 watch_length: int, context_size: int, classes: int,
-                 infusion: bool = False) -> "NetworkSpec":
-        """The reference architecture (see module docstring)."""
-        return cls(
-            phone=BranchSpec(phone_channels, phone_length, (32, 64, 96), (24, 16, 8), 4, 128),
-            watch=BranchSpec(watch_channels, watch_length, (32, 64, 96), (16, 8, 4), 4, 128),
-            context_size=context_size,
-            classes=classes,
-            infusion=infusion,
-        )
 
     @property
     def concat_width(self) -> int:

@@ -33,7 +33,7 @@ def satisfied(requirement, state, vocab) -> bool:
 
 def reference_consistent(model, state) -> frozenset[str]:
     """The activities none of whose rules the state violates."""
-    model.vocabulary.validate_state(state)
+    model.vocabulary.encode_state(state)  # rejects unknown predicates and clashes
     return frozenset(a for a in model.activity_names
                      if all(satisfied(r, state, model.vocabulary)
                             for r in model.rules.get(a, ())))

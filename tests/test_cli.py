@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +78,17 @@ def test_synth_same_seed_byte_identical(tmp_path):
     assert files_a
     for f in files_a:
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+
+def test_synth_quick_dataset_bytes_are_pinned(tmp_path):
+    # one digest over the sorted file names and contents of the generated dataset
+    assert main(["synth", "--config", str(QUICK), "--out", str(tmp_path / "ds")]) == 0
+    digest = hashlib.sha256()
+    for f in sorted((tmp_path / "ds").iterdir()):
+        data = f.read_bytes()
+        digest.update(f"{f.name}\0{len(data)}\0".encode() + data)
+    assert digest.hexdigest() == (
+        "611669aee98dc8f2cb7b9d316ae88cae0617792751b8b28d8f4e1911abe79c24")
 
 
 def test_audit_zero_violation_is_fully_consistent(tmp_path, capsys):
@@ -321,6 +334,26 @@ def test_classify_refinement_with_rules(tmp_path, synth_checkpoints):
         if not record["fallback"]:
             top = int(np.argmax(record["probs"]))
             assert record["consistent"][top] == 1
+
+
+def test_classify_ignores_an_annotation_label_outside_the_vocabulary(tmp_path,
+                                                                     synth_checkpoints):
+    ds, _, ref_path = synth_checkpoints
+    renamed = tmp_path / "renamed"
+    shutil.copytree(ds, renamed)
+    path = renamed / "annotations.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    user, _, t_start, t_end = lines[2].split(",")
+    lines[2] = ",".join([user, "flying", t_start, t_end])
+    path.write_text("".join(lines))
+    outputs = []
+    for i, samples in enumerate((ds, renamed)):
+        out = tmp_path / f"preds{i}.jsonl"
+        rc = main(["classify", "--model", str(ref_path), "--samples", str(samples),
+                   "--rules", "configs/synthetic.rules", "--out", str(out)])
+        assert rc == 0
+        outputs.append(out.read_text())
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_classify_rejects_a_checkpoint_window_length_that_is_not_finite(

@@ -1,6 +1,8 @@
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nesyhar.context import DiscretizationConfig, RawContextRecord, aggregate_context
 from nesyhar.knowledge import ContextDimension, ContextPredicate, ContextState, ContextVocabulary
@@ -111,3 +113,46 @@ def test_invalid_config_rejected():
 def test_record_rejects_a_non_finite_measurement(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         RawContextRecord(0.0, **{name: value})
+
+
+@pytest.mark.parametrize("speeds, thresholds, expected", [
+    ([1e308, 1e308], (0.1, 2.0, 7.0), "high"),
+    ([-1e308, -1e308, -1e308], (0.1, 2.0, 7.0), "null"),
+    # the mean of 1e308 and 1e308 fits in a float, and is below a 1.5e308 threshold
+    ([1e308, 1e308], (0.1, 2.0, 1.5e308), "medium"),
+])
+def test_speed_class_of_values_whose_sum_overflows(speeds, thresholds, expected):
+    cfg = DiscretizationConfig(speed_thresholds=thresholds)
+    recs = [RawContextRecord(float(t), speed=s) for t, s in enumerate(speeds)]
+    assert aggregate_context(recs, cfg, VOCAB).dimension_values("speed") == {expected}
+
+
+@pytest.mark.parametrize("deltas, expected", [
+    ([-1e308, -1e308], "positive"),
+    ([1e308, 1e308], "negative"),
+    # the huge values cancel exactly; the small ones decide
+    ([1e308, 1e308, -1e308, -1e308, 0.2], "negative"),
+    ([1e308, 1e308, -1e308, -1e308, -0.2], "positive"),
+    ([1e308, 1e308, -1e308, -1e308, 0.01], "null"),
+])
+def test_height_variation_of_deltas_whose_sum_overflows(deltas, expected):
+    recs = [RawContextRecord(float(t), pressure_delta=d) for t, d in enumerate(deltas)]
+    assert state_of(recs).dimension_values("height_variation") == {expected}
+
+
+_TEXTS = st.one_of(st.none(), st.text(max_size=6),
+                   st.sampled_from(["home", " Public Park ", "bus stop", "Rain", "clear",
+                                    "snow", "space station"]))
+_RECORDS = st.builds(
+    RawContextRecord, timestamp=st.floats(0.0, 10.0),
+    speed=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    pressure_delta=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    semantic_place=_TEXTS, transport_route_nearby=st.none() | st.booleans(), weather=_TEXTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(_RECORDS, max_size=8), data=st.data())
+def test_aggregation_never_raises_encodes_and_ignores_record_order(records, data):
+    state = state_of(records)
+    VOCAB.encode_state(state)
+    assert state_of(data.draw(st.permutations(records))) == state

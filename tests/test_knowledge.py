@@ -151,7 +151,7 @@ def test_literal_non_exclusive_never_contradicts():
 def test_state_exclusivity_validated():
     state = ContextState.from_pairs(["location_type=indoor", "location_type=outdoor"])
     with pytest.raises(ValueError, match="exclusive"):
-        VOCAB.validate_state(state)
+        VOCAB.encode_state(state)
 
 
 def test_query_rejects_two_values_on_an_exclusive_dimension():

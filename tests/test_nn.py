@@ -1,10 +1,12 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nesyhar.config import NetworkConfig
 from nesyhar.losses import LossConfig
 from nesyhar.nn import (
     INFER_BLOCK,
@@ -28,6 +30,14 @@ from nesyhar.nn import (
 )
 from nn_reference import finite_difference_gradients as per_tensor_finite_differences
 from nn_reference import reference_backward, reference_forward
+
+
+def reference_spec(phone_length=400):
+    """The default NetworkConfig architecture on 6-channel windows, 22 predicates,
+    14 activities."""
+    return NetworkConfig().to_spec(phone_channels=6, phone_length=phone_length,
+                                   watch_channels=6, watch_length=400, context_size=22,
+                                   classes=14)
 
 
 def tiny_spec(infusion=False, dropout=0.0):
@@ -88,7 +98,7 @@ def test_biases_start_zero():
 
 def test_window_too_short_names_layer():
     with pytest.raises(NetworkSpecError, match="phone conv0"):
-        NetworkSpec.standard(6, 6, 20, 400, 22, 14)
+        reference_spec(phone_length=20)
     with pytest.raises(NetworkSpecError, match="watch pool0"):
         NetworkSpec(phone=BranchSpec(1, 50, (2, 2), (3, 3), 2, 4),
                     watch=BranchSpec(1, 6, (2, 2), (4, 3), 4, 4),
@@ -97,7 +107,7 @@ def test_window_too_short_names_layer():
 
 def test_reference_parameter_count_hand_derived():
     # 6-channel phone and watch, 22 context predicates, 14 activities.
-    spec = NetworkSpec.standard(6, 6, 400, 400, 22, 14)
+    spec = reference_spec()
     expected = (
         (32 * 6 * 24 + 32) + (64 * 32 * 16 + 64) + (96 * 64 * 8 + 96) + (96 * 128 + 128)
         + (32 * 6 * 16 + 32) + (64 * 32 * 8 + 64) + (96 * 64 * 4 + 96) + (96 * 128 + 128)
@@ -110,8 +120,8 @@ def test_reference_parameter_count_hand_derived():
 
 
 def test_infusion_adds_classes_times_trunk_parameters():
-    base = NetworkSpec.standard(6, 6, 400, 400, 22, 14)
-    infused = NetworkSpec.standard(6, 6, 400, 400, 22, 14, infusion=True)
+    base = reference_spec()
+    infused = replace(base, infusion=True)
     assert parameter_count(infused) - parameter_count(base) == 14 * 256
 
 
