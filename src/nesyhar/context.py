@@ -80,8 +80,9 @@ class DiscretizationConfig:
     """Thresholds and provider-string mappings used by :func:`aggregate_context`.
 
     speed_thresholds are the null/low, low/medium and medium/high boundaries in
-    m/s; height_epsilon is the barometric dead band in hPa below which a window
-    counts as height_variation=null.
+    m/s (finite, above 0 and increasing, so each class is reachable);
+    height_epsilon is the finite barometric dead band in hPa below which a
+    window counts as height_variation=null.
     """
 
     speed_thresholds: tuple[float, ...] = (0.1, 2.0, 7.0)
@@ -92,11 +93,14 @@ class DiscretizationConfig:
     weather_map: Mapping[str, str] = field(default_factory=lambda: dict(_DEFAULT_WEATHER_MAP))
 
     def __post_init__(self):
+        # written as ranges, so that a NaN, which fails every comparison, is rejected
         t = tuple(self.speed_thresholds)
-        if len(t) != 3 or not (t[0] < t[1] < t[2]):
-            raise ValueError(f"speed thresholds must be strictly increasing, got {t}")
-        if self.height_epsilon <= 0:
-            raise ValueError("height_epsilon must be positive")
+        if len(t) != 3 or not (0 < t[0] < t[1] < t[2] < math.inf):
+            raise ValueError(f"speed thresholds must be finite, positive and strictly "
+                             f"increasing, got {t}")
+        if not 0 < self.height_epsilon < math.inf:
+            raise ValueError(f"height_epsilon must be positive and finite, got "
+                             f"{self.height_epsilon}")
 
     def speed_class(self, speed: float) -> str:
         for boundary, name in zip(self.speed_thresholds, SPEED_CLASSES):

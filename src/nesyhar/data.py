@@ -33,7 +33,7 @@ import itertools
 import logging
 import math
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -46,6 +46,7 @@ from .context import (
     RawContextRecord,
     SEMANTIC_PLACE,
     SPEED,
+    SPEED_CLASSES,
     TRANSPORT_ROUTE,
     WEATHER,
     aggregate_context,
@@ -316,111 +317,66 @@ class SyntheticConfig:
             raise ValueError("phone_channels and watch_channels must be >= 1")
 
 
-_MAX_STATE_SPACE = 200_000
+def _raw_candidates(vocab: ContextVocabulary, cfg: DiscretizationConfig) -> list[list]:
+    """Per field of :class:`RawContextRecord` after the timestamp, the raw value of
+    each declared predicate that field can yield, in declaration order."""
+    def declared(dimension: str, raw: dict) -> list:
+        values = vocab.dimension(dimension).values if vocab.has_dimension(dimension) else ()
+        return [raw[v] for v in values if v in raw]
+
+    def first_key(mapping) -> dict:
+        # for each value, the first key in sorted order that maps to it (written last, so it wins)
+        return {v: k for k, v in sorted(mapping.items(), reverse=True)}
+
+    t, eps = cfg.speed_thresholds, cfg.height_epsilon
+    speeds = (t[0] / 2.0, (t[0] + t[1]) / 2.0, (t[1] + t[2]) / 2.0, t[2] * 1.5)
+    places, place_dimension = first_key(cfg.place_map), SEMANTIC_PLACE
+    if not vocab.has_dimension(SEMANTIC_PLACE):  # a location comes only from a place
+        at = first_key({p: loc for p, loc in cfg.place_location.items() if p in places})
+        places = {location: places[place] for location, place in at.items()}
+        place_dimension = LOCATION_TYPE
+    return [declared(SPEED, dict(zip(SPEED_CLASSES, speeds))),
+            declared(HEIGHT_VARIATION, {"null": 0.0, "positive": -4.0 * eps,
+                                        "negative": 4.0 * eps}),
+            declared(place_dimension, places),
+            declared(TRANSPORT_ROUTE, {"true": True, "false": False}),
+            declared(WEATHER, first_key(cfg.weather_map))]
 
 
-def _enumerate_states(vocab: ContextVocabulary) -> list[ContextState]:
-    """All context states: per exclusive dimension one value or unobserved,
-    per non-exclusive dimension any subset of values."""
-    per_dim = []
-    total = 1
+def _realizable(vocab: ContextVocabulary,
+                cfg: DiscretizationConfig) -> dict[ContextState, RawContextRecord]:
+    """Each state that aggregating one record of candidate raw values yields, with
+    the first such record, in state-space order: dimensions in declaration order,
+    within each unobserved first, then the values in declaration order."""
+    found: dict[ContextState, RawContextRecord] = {}
+    for values in itertools.product(*([None, *c] for c in _raw_candidates(vocab, cfg))):
+        record = RawContextRecord(0.0, *values)
+        found.setdefault(aggregate_context([record], cfg, vocab), record)
     for dim in vocab.dimensions:
-        if dim.exclusive:
-            options = [()] + [((dim.name, v),) for v in dim.values]
-        else:
-            options = [tuple((dim.name, v) for v in subset)
-                       for r in range(len(dim.values) + 1)
-                       for subset in itertools.combinations(dim.values, r)]
-        total *= len(options)
-        if total > _MAX_STATE_SPACE:
-            raise ValueError(f"context state space exceeds {_MAX_STATE_SPACE} states; "
-                             "too large to enumerate")
-        per_dim.append(options)
-    return [ContextState.from_pairs(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*per_dim)]
+        if not any(s.observes(dim.name) for s in found):
+            raise ValueError(f"no realizable context state observes dimension {dim.name!r}; "
+                             "raw signals cannot express it")
 
-
-class _StateRealizer:
-    """Turns a discrete context state back into raw context records.
-
-    Only dimensions the context aggregator knows (speed, height variation,
-    location type, semantic place, transport route, weather) can be realized.
-    """
-
-    def __init__(self, vocab: ContextVocabulary, cfg: DiscretizationConfig):
-        self.vocab = vocab
-        self.cfg = cfg
-        t = cfg.speed_thresholds
-        self._speed_value = {
-            "null": t[0] / 2.0,
-            "low": (t[0] + t[1]) / 2.0,
-            "medium": (t[1] + t[2]) / 2.0,
-            "high": t[2] * 1.5,
-        }
-        self._height_value = {"null": 0.0, "positive": -4.0 * cfg.height_epsilon,
-                              "negative": 4.0 * cfg.height_epsilon}
-        # for each mappable place / weather value the first provider string, in
-        # sorted order, that maps to it (written last, so it wins)
-        self._place_provider = {v: k for k, v in sorted(cfg.place_map.items(), reverse=True)}
-        self._weather_provider = {v: k for k, v in sorted(cfg.weather_map.items(), reverse=True)}
-        self._location_place = {v: k for k, v in sorted(cfg.place_location.items(), reverse=True)
-                                if k in self._place_provider}
-
-    def realize(self, state: ContextState, timestamp: float) -> RawContextRecord:
-        fields: dict = {}
-        place_value = None
-        for pred in sorted(state.observed, key=lambda p: (p.dimension, p.value)):
-            dim, value = pred.dimension, pred.value
-            if dim == SPEED:
-                fields["speed"] = self._speed_value[value]
-            elif dim == HEIGHT_VARIATION:
-                fields["pressure_delta"] = self._height_value[value]
-            elif dim == TRANSPORT_ROUTE:
-                fields["transport_route_nearby"] = value == "true"
-            elif dim == SEMANTIC_PLACE:
-                place_value = value
-            elif dim == LOCATION_TYPE:
-                if place_value is None and not state.observes(SEMANTIC_PLACE):
-                    place_value = self._location_place.get(value)
-                    if place_value is None:
-                        raise ValueError(f"no semantic place realizes location_type={value}")
-            elif dim == WEATHER:
-                provider = self._weather_provider.get(value)
-                if provider is None:
-                    raise ValueError(f"no provider string realizes weather={value}")
-                fields["weather"] = provider
-            else:
-                raise ValueError(f"cannot realize context dimension {dim!r} as raw signals")
-        if place_value is not None:
-            provider = self._place_provider.get(place_value)
-            if provider is None:
-                raise ValueError(f"no provider string realizes semantic_place={place_value}")
-            fields["semantic_place"] = provider
-        return RawContextRecord(timestamp=timestamp, **fields)
+    def rank(state: ContextState) -> list[int]:
+        index = {p.dimension: vocab.index(p) for p in state.observed}
+        return [index.get(dim.name, -1) for dim in vocab.dimensions]
+    return dict(sorted(found.items(), key=lambda item: rank(item[0])))
 
 
 def enumerate_realizable_states(vocab: ContextVocabulary,
                                 cfg: DiscretizationConfig) -> list[ContextState]:
-    """All context states that survive a realize/aggregate round trip.
+    """All context states that aggregation of representative raw values yields.
 
-    This is the state space the synthetic generator samples from; combinations
-    that raw signals cannot express (e.g. an indoor semantic place together
-    with location_type=outdoor) are filtered out.
+    This is the state space the synthetic generator samples from. Each field of
+    a raw record takes, besides None, one representative value per declared
+    predicate it can produce (a speed class midpoint, a provider string, ...);
+    what :func:`aggregate_context` makes of each combination is realizable, so
+    combinations raw signals cannot express (e.g. an indoor semantic place
+    together with location_type=outdoor, or a declared value no threshold
+    derives) never appear. Raises ValueError when no state observes a declared
+    dimension.
     """
-    realizer = _StateRealizer(vocab, cfg)
-    states = []
-    for state in _enumerate_states(vocab):
-        try:
-            record = realizer.realize(state, 0.0)
-        except ValueError:
-            continue
-        if aggregate_context([record], cfg, vocab) == state:
-            states.append(state)
-    for dim in vocab.dimensions:
-        if not any(s.observes(dim.name) for s in states):
-            raise ValueError(f"no realizable context state observes dimension {dim.name!r}; "
-                             "raw signals cannot express it")
-    return states
+    return list(_realizable(vocab, cfg))
 
 
 def _signature_templates(rng: np.random.Generator, n_activities: int, channels: int,
@@ -461,14 +417,16 @@ def generate_synthetic(model: KnowledgeModel, cfg: SyntheticConfig,
 
     Each window draws an activity uniformly; its context state is drawn
     consistent with the activity's rules with probability 1 - violation_rate
-    and uniformly from the full realizable state space otherwise. Raw context
-    records are emitted such that aggregation reproduces the drawn state, and
-    inertial channels follow the activity's signature templates plus noise.
+    and uniformly from the full realizable state space otherwise (see
+    :func:`enumerate_realizable_states`). The window's raw context record is
+    the one the state was found from, so aggregation reproduces the drawn
+    state, and inertial channels follow the activity's signature templates
+    plus noise.
     """
     disc = disc or DiscretizationConfig()
     vocab = model.vocabulary
-    states = enumerate_realizable_states(vocab, disc)
-    realizer = _StateRealizer(vocab, disc)
+    realizable = _realizable(vocab, disc)
+    states, representatives = list(realizable), list(realizable.values())
     k = model.num_activities
 
     rows = np.stack([vocab.encode_state(s) for s in states])
@@ -507,11 +465,11 @@ def generate_synthetic(model: KnowledgeModel, cfg: SyntheticConfig,
         for w in range(cfg.windows_per_user):
             activity = int(rng.integers(k))
             if rng.random() < cfg.violation_rate:
-                state = states[int(rng.integers(len(states)))]
+                drawn = int(rng.integers(len(states)))
             else:
-                state = states[int(rng.choice(len(states), p=consistent_probs[activity]))]
+                drawn = int(rng.choice(len(states), p=consistent_probs[activity]))
             t_start = w * z
-            records.append(realizer.realize(state, t_start + z / 2.0))
+            records.append(replace(representatives[drawn], timestamp=t_start + z / 2.0))
             annotations.append(Annotation(user, model.activity_names[activity],
                                           t_start, t_start + z))
             phone[:, w * n_phone:(w + 1) * n_phone] = _window_signal(

@@ -11,6 +11,9 @@ import pytest
 import yaml
 
 from nesyhar.cli import main
+from nesyhar.context import DiscretizationConfig
+from nesyhar.data import enumerate_realizable_states
+from nesyhar.knowledge import load_knowledge
 
 QUICK = Path("configs/quick.yaml")
 
@@ -80,15 +83,46 @@ def test_synth_same_seed_byte_identical(tmp_path):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
 
-def test_synth_quick_dataset_bytes_are_pinned(tmp_path):
-    # one digest over the sorted file names and contents of the generated dataset
-    assert main(["synth", "--config", str(QUICK), "--out", str(tmp_path / "ds")]) == 0
+def dataset_digest(directory):
+    """One sha256 over the sorted file names, lengths and contents of a directory."""
     digest = hashlib.sha256()
-    for f in sorted((tmp_path / "ds").iterdir()):
+    for f in sorted(directory.iterdir()):
         data = f.read_bytes()
         digest.update(f"{f.name}\0{len(data)}\0".encode() + data)
-    assert digest.hexdigest() == (
+    return digest.hexdigest()
+
+
+def test_synth_quick_dataset_bytes_are_pinned(tmp_path):
+    assert main(["synth", "--config", str(QUICK), "--out", str(tmp_path / "ds")]) == 0
+    assert dataset_digest(tmp_path / "ds") == (
         "611669aee98dc8f2cb7b9d316ae88cae0617792751b8b28d8f4e1911abe79c24")
+
+
+def test_synth_domino_dataset_bytes_are_pinned(tmp_path):
+    # domino.rules is the committed rule file with semantic places and weather
+    cfg = write_config(tmp_path, rules="configs/domino.rules", dataset={"synthetic": {
+        "users": 2, "windows_per_user": 100, "violation_rate": 0.3}})
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+    assert dataset_digest(tmp_path / "ds") == (
+        "13309e84d9995532522bf1a9d7c99cc3d6c914c4beedcebb34a0d56862fd8c49")
+
+
+@pytest.mark.parametrize("dimension, values", [
+    ("speed", "null, low, medium, high, extreme"),
+    ("height_variation", "negative, null, positive, wobbly"),
+])
+def test_synth_skips_a_declared_value_aggregation_cannot_derive(tmp_path, dimension, values):
+    text = Path("configs/synthetic.rules").read_text()
+    old = next(line for line in text.splitlines() if line.startswith(f"{dimension} "))
+    rules = tmp_path / "extra.rules"
+    rules.write_text(text.replace(old, f"{dimension} (exclusive): {values}"))
+    cfg = write_config(tmp_path, rules=str(rules))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+    extra = values.rsplit(", ", 1)[1]
+    states = enumerate_realizable_states(load_knowledge(rules).vocabulary,
+                                         DiscretizationConfig())
+    assert any(s.observes(dimension) for s in states)
+    assert not any(extra in s.dimension_values(dimension) for s in states)
 
 
 def test_audit_zero_violation_is_fully_consistent(tmp_path, capsys):
@@ -266,11 +300,9 @@ def test_gradcheck_zero_trials_usage_error(capsys):
 @pytest.fixture(scope="module")
 def synth_checkpoints(tmp_path_factory):
     """A tiny dataset directory plus trained checkpoints of two kinds."""
-    from nesyhar.context import DiscretizationConfig
     from nesyhar.data import (SyntheticConfig, encode_user_datasets,
                               generate_synthetic, write_dataset)
     from nesyhar.evaluation import split_train_validation
-    from nesyhar.knowledge import load_knowledge
     from nesyhar.losses import LossConfig
     from nesyhar.nn import BranchSpec, NetworkSpec
     from nesyhar.strategies import StrategyConfig, TrainConfig, save_model, train

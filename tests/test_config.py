@@ -76,6 +76,17 @@ MALFORMED = [
      "training: learning_rate must be a number, got True"),
     ("discretization_threshold_bool", {"discretization": {"speed_thresholds": [0.1, True, 7]}},
      "discretization: speed_thresholds[1] must be a number, got True"),
+    # discretization values that would leave a context class unreachable
+    ("discretization_epsilon_nan", {"discretization": {"height_epsilon": float("nan")}},
+     "discretization: height_epsilon must be positive and finite, got nan"),
+    ("discretization_epsilon_inf", {"discretization": {"height_epsilon": float("inf")}},
+     "discretization: height_epsilon must be positive and finite, got inf"),
+    ("discretization_threshold_inf",
+     {"discretization": {"speed_thresholds": [0.1, 2.0, float("inf")]}},
+     "discretization: speed thresholds must be finite, positive and strictly increasing"),
+    ("discretization_threshold_negative",
+     {"discretization": {"speed_thresholds": [-1.0, 2.0, 7.0]}},
+     "discretization: speed thresholds must be finite, positive and strictly increasing"),
     ("training_epochs_fraction", {"training.epochs": 2.5},
      "training: epochs must be an integer, got 2.5"),
     ("network_pool_float", {"network.pool": 2.0}, "network: pool must be an integer, got 2.0"),

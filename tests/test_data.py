@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from nesyhar.data import (
     segment,
     write_dataset,
 )
-from nesyhar.knowledge import ContextState, load_knowledge
+from nesyhar.knowledge import ContextState, load_knowledge, parse_knowledge
 
 from conftest import consistent_names
 from knowledge_reference import decode_state
@@ -198,7 +199,6 @@ def test_generator_unsatisfiable_activity_guard(model, monkeypatch):
 
 
 def test_generator_rejects_unrealizable_dimension():
-    from nesyhar.knowledge import parse_knowledge
     text = """
 [activities]
 a
@@ -207,6 +207,37 @@ mood (exclusive): happy, sad
 """
     with pytest.raises(ValueError, match="mood"):
         generate_synthetic(parse_knowledge(text), small_cfg())
+
+
+@pytest.mark.parametrize("rules", ["configs/domino.rules", "configs/synthetic.rules"])
+def test_generating_and_segmenting_logs_no_warning(rules, caplog):
+    model = load_knowledge(rules)
+    with caplog.at_level(logging.WARNING):
+        datasets = generate_synthetic(model, small_cfg(violation_rate=0.5))
+        encode_user_datasets(datasets, model, 4.0, DISC)
+    assert not caplog.records
+
+
+PARTIAL_PLACES = """
+[activities]
+resting
+[contexts]
+location_type (exclusive): indoor, outdoor
+semantic_place (exclusive): street, home
+"""
+
+
+def test_partial_place_vocabulary_realizes_locations_only_through_declared_places(caplog):
+    # a location comes from a place; an undeclared place would be logged when segmented
+    model = parse_knowledge(PARTIAL_PLACES)
+    with caplog.at_level(logging.WARNING):
+        states = enumerate_realizable_states(model.vocabulary, DISC)
+        datasets = generate_synthetic(model, small_cfg(violation_rate=1.0))
+        encode_user_datasets(datasets, model, 4.0, DISC)
+    assert not caplog.records
+    assert states == [ContextState(),
+                      ContextState.from_pairs(["location_type=indoor", "semantic_place=home"]),
+                      ContextState.from_pairs(["location_type=outdoor", "semantic_place=street"])]
 
 
 # ---------------------------------------------------------------------------
