@@ -24,7 +24,7 @@ states = [
 # one query answers every state: row i, column j is true iff activity j is
 # consistent with state i
 matrix = model.consistent_activities(
-    [model.vocabulary.encode_state(state) for _, state in states])
+    model.vocabulary.encode_states([state for _, state in states]))
 for i, ((title, _), vector) in enumerate(zip(states, matrix)):
     print(f"-- {title}")
     print(f"   consistent ({vector.sum()}): "

@@ -4,7 +4,7 @@ Subcommands: ``reason`` (query the rule engine), ``synth`` (write a synthetic
 dataset), ``run`` (the full experiment grid), ``gradcheck`` (finite-difference
 verification of the network and loss gradients), ``classify`` (apply a trained
 checkpoint to a dataset directory), and ``audit`` (label/context consistency
-of a dataset against a rule file).
+of a dataset against a rule file, or a config's rules and windowing).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
@@ -189,21 +189,27 @@ def cmd_classify(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .config import load_config
     from .context import DiscretizationConfig
     from .data import load_dataset, segment
     from .knowledge import load_knowledge
 
-    model = load_knowledge(args.rules)
+    if args.config:
+        if args.window_seconds is not None:
+            raise UsageError("--window-seconds comes from the config when --config is given")
+        cfg = load_config(args.config)
+        rules, z, disc = cfg.rules, cfg.window_seconds, cfg.discretization
+    else:
+        rules, z, disc = args.rules, args.window_seconds or 4.0, DiscretizationConfig()
+    model = load_knowledge(rules)
     datasets = load_dataset(args.dataset)
-    disc = DiscretizationConfig()
     per_activity: dict[str, list[int]] = {}  # label -> [consistent, windows]
     columns = {a: j for j, a in enumerate(model.activity_names)}
     for ds in datasets:
-        windows = segment(ds, args.window_seconds, disc, model.vocabulary)
+        windows = segment(ds, z, disc, model.vocabulary)
         if not windows:
             continue
-        matrix = model.consistent_activities(
-            [model.vocabulary.encode_state(s) for s in windows.states])
+        matrix = model.consistent_activities(model.vocabulary.encode_states(windows.states))
         for row, label in zip(matrix, windows.labels):
             counts = per_activity.setdefault(label, [0, 0])
             # a label the rules do not list is inconsistent
@@ -255,8 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="check label/context consistency of a dataset")
     p.add_argument("--dataset", required=True, help="dataset directory")
-    p.add_argument("--rules", required=True, help="rule file path")
-    p.add_argument("--window-seconds", type=_positive_float, default=4.0)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--rules", help="rule file path (default windowing and thresholds)")
+    source.add_argument("--config", help="experiment config (YAML): its rules, window_seconds "
+                        "and discretization")
+    p.add_argument("--window-seconds", type=_positive_float,
+                   help="window length with --rules (default 4.0)")
     p.set_defaults(fn=cmd_audit)
     return parser
 

@@ -59,7 +59,8 @@ _DEFAULT_WEATHER_MAP = {
 
 @dataclass(frozen=True)
 class RawContextRecord:
-    """One timestamped bundle of raw context signals; absent fields stay None."""
+    """One timestamped bundle of raw context signals; absent fields stay None.
+    A present speed is finite and >= 0, a present pressure_delta finite."""
 
     timestamp: float
     speed: float | None = None
@@ -73,6 +74,8 @@ class RawContextRecord:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.speed is not None and self.speed < 0:
+            raise ValueError(f"speed must be >= 0, got {self.speed}")
 
 
 @dataclass(frozen=True)

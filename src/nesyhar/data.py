@@ -250,7 +250,7 @@ def encode_windows(windows: Windows, vocab: ContextVocabulary,
     return EncodedDataset(
         phone=windows.phone,
         watch=windows.watch,
-        context=np.stack([vocab.encode_state(s) for s in windows.states]),
+        context=vocab.encode_states(windows.states),
         labels=labels,
         users=(windows.user,) * len(windows),
         activities=tuple(activities),
@@ -398,17 +398,26 @@ def _signature_templates(rng: np.random.Generator, n_activities: int, channels: 
     return {"freq": freq, "amp": amp, "offset": offset}
 
 
-def _window_signal(templates, activity: int, rng: np.random.Generator, channels: int,
-                   samples: int, rate: float, noise: float) -> np.ndarray:
-    t = np.arange(samples) / rate
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(channels, 2))
-    freq = templates["freq"][activity][:, None]
-    amp = templates["amp"][activity][:, None]
-    offset = templates["offset"][activity][:, None]
-    signal = (offset
-              + amp * np.sin(2.0 * np.pi * freq * t[None, :] + phase[:, :1])
-              + 0.4 * amp * np.sin(4.0 * np.pi * freq * t[None, :] + phase[:, 1:]))
-    return signal + rng.normal(scale=0.6 * noise, size=(channels, samples))
+def _render(templates, activities: np.ndarray, phase: np.ndarray, noise: np.ndarray,
+            rate: float, level: float) -> np.ndarray:
+    """The (channels, windows * samples) stream of windows with the given activities,
+    phases (windows, channels, 2) and standard normal draws (windows, channels,
+    samples, scaled in place), each element computed in the order one window's
+    signature plus ``normal(scale=0.6 * level)`` noise would be."""
+    t = np.arange(noise.shape[2]) / rate
+    freq, amp, offset = (templates[key][activities].T[:, :, None]
+                         for key in ("freq", "amp", "offset"))
+    phase = phase.transpose(1, 0, 2)
+    signal = np.multiply(2.0 * np.pi * freq, t, out=np.empty(freq.shape[:2] + t.shape))
+    np.sin(np.add(signal, phase[:, :, :1], out=signal), out=signal)
+    np.add(offset, np.multiply(amp, signal, out=signal), out=signal)
+    harmonic = np.multiply(4.0 * np.pi * freq, t, out=np.empty_like(signal))
+    np.sin(np.add(harmonic, phase[:, :, 1:], out=harmonic), out=harmonic)
+    signal += np.multiply(0.4 * amp, harmonic, out=harmonic)
+    noise *= 0.6 * level  # normal(scale=s) is s * standard_normal() when loc is 0
+    signal += noise.transpose(1, 0, 2)
+    channels, windows, samples = signal.shape
+    return signal.reshape(channels, windows * samples)
 
 
 def generate_synthetic(model: KnowledgeModel, cfg: SyntheticConfig,
@@ -421,7 +430,8 @@ def generate_synthetic(model: KnowledgeModel, cfg: SyntheticConfig,
     :func:`enumerate_realizable_states`). The window's raw context record is
     the one the state was found from, so aggregation reproduces the drawn
     state, and inertial channels follow the activity's signature templates
-    plus noise.
+    plus noise. The per-window loop only draws random numbers, in window
+    order; the streams are rendered afterwards, for all windows at once.
     """
     disc = disc or DiscretizationConfig()
     vocab = model.vocabulary
@@ -429,7 +439,7 @@ def generate_synthetic(model: KnowledgeModel, cfg: SyntheticConfig,
     states, representatives = list(realizable), list(realizable.values())
     k = model.num_activities
 
-    rows = np.stack([vocab.encode_state(s) for s in states])
+    rows = vocab.encode_states(states)
     consistency = model.consistent_activities(rows)
     for i, name in enumerate(model.activity_names):
         if not consistency[:, i].any():
@@ -438,10 +448,13 @@ def generate_synthetic(model: KnowledgeModel, cfg: SyntheticConfig,
     # per state and dimension, the number of values observed
     observed = rows @ (vocab.dimension_of[:, None] == np.arange(len(vocab.dimensions)))
     bias_weights = cfg.unobserved_bias ** (observed == 0).sum(axis=1).astype(np.float64)
-    consistent_probs = []
+    cdfs = []
     for i in range(k):
         w = np.where(consistency[:, i], bias_weights, 0.0)
-        consistent_probs.append(w / w.sum())
+        # numpy's own Generator.choice(p=...) algorithm, with the cdf computed once:
+        # cdf = p.cumsum(); cdf /= cdf[-1]; one random() draw searched side="right"
+        cdf = (w / w.sum()).cumsum()
+        cdfs.append(cdf / cdf[-1])
 
     root = np.random.SeedSequence(cfg.seed)
     template_seed, *user_seeds = root.spawn(cfg.users + 1)
@@ -451,41 +464,42 @@ def generate_synthetic(model: KnowledgeModel, cfg: SyntheticConfig,
     watch_templates = _signature_templates(template_rng, k, cfg.watch_channels,
                                            cfg.confusability)
 
-    z = cfg.window_seconds
+    z, n = cfg.window_seconds, cfg.windows_per_user
     n_phone = int(round(z * cfg.phone_rate))
     n_watch = int(round(z * cfg.watch_rate))
     datasets = []
     for u in range(cfg.users):
         rng = np.random.default_rng(user_seeds[u])
         user = f"user{u:02d}"
-        phone = np.empty((cfg.phone_channels, n_phone * cfg.windows_per_user))
-        watch = np.empty((cfg.watch_channels, n_watch * cfg.windows_per_user))
-        records: list[RawContextRecord] = []
-        annotations: list[Annotation] = []
-        for w in range(cfg.windows_per_user):
-            activity = int(rng.integers(k))
+        activities, drawn = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+        phone_phase, watch_phase = (np.empty((n, c, 2))
+                                    for c in (cfg.phone_channels, cfg.watch_channels))
+        phone_noise = np.empty((n, cfg.phone_channels, n_phone))
+        watch_noise = np.empty((n, cfg.watch_channels, n_watch))
+        for w in range(n):
+            activity = activities[w] = rng.integers(k)
             if rng.random() < cfg.violation_rate:
-                drawn = int(rng.integers(len(states)))
+                drawn[w] = rng.integers(len(states))
             else:
-                drawn = int(rng.choice(len(states), p=consistent_probs[activity]))
-            t_start = w * z
-            records.append(replace(representatives[drawn], timestamp=t_start + z / 2.0))
-            annotations.append(Annotation(user, model.activity_names[activity],
-                                          t_start, t_start + z))
-            phone[:, w * n_phone:(w + 1) * n_phone] = _window_signal(
-                phone_templates, activity, rng, cfg.phone_channels, n_phone,
-                cfg.phone_rate, cfg.noise)
-            watch[:, w * n_watch:(w + 1) * n_watch] = _window_signal(
-                watch_templates, activity, rng, cfg.watch_channels, n_watch,
-                cfg.watch_rate, cfg.noise)
+                drawn[w] = cdfs[activity].searchsorted(rng.random(), side="right")
+            for phase, noise in ((phone_phase, phone_noise), (watch_phase, watch_noise)):
+                phase[w] = rng.uniform(0.0, 2.0 * np.pi, size=phase.shape[1:])
+                rng.standard_normal(out=noise[w])
+        phone = _render(phone_templates, activities, phone_phase, phone_noise,
+                        cfg.phone_rate, cfg.noise)
+        del phone_noise  # freed before the watch stream is rendered
+        watch = _render(watch_templates, activities, watch_phase, watch_noise,
+                        cfg.watch_rate, cfg.noise)
         phone_names = tuple(f"p{c}" for c in range(cfg.phone_channels))
         watch_names = tuple(f"w{c}" for c in range(cfg.watch_channels))
         datasets.append(UserDataset(
             user=user,
             phone=SensorStream(cfg.phone_rate, phone_names, phone),
             watch=SensorStream(cfg.watch_rate, watch_names, watch),
-            context_records=records,
-            annotations=annotations))
+            context_records=[replace(representatives[d], timestamp=w * z + z / 2.0)
+                             for w, d in enumerate(drawn.tolist())],
+            annotations=[Annotation(user, model.activity_names[a], w * z, w * z + z)
+                         for w, a in enumerate(activities.tolist())]))
     return datasets
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -160,16 +160,22 @@ class ContextVocabulary:
             raise ValueError(f"multiple values observed for exclusive dimension {name!r}")
         return counts
 
+    def encode_states(self, states: Sequence["ContextState"]) -> np.ndarray:
+        """(n, size) multi-hot matrix, row i with a 1 at each predicate state i
+        observes; raises ValueError for an unknown predicate or two values on an
+        exclusive dimension."""
+        try:
+            columns = [self._pred_index[p] for s in states for p in s.observed]
+        except KeyError as exc:
+            raise ValueError(f"predicate {exc.args[0]} not in context vocabulary") from None
+        rows = np.zeros((len(states), self.size), dtype=np.float64)
+        rows[np.repeat(np.arange(len(states)), [len(s.observed) for s in states]), columns] = 1.0
+        self.rival_counts(rows != 0)
+        return rows
+
     def encode_state(self, state: "ContextState") -> np.ndarray:
-        """Multi-hot vector with a 1 at each observed predicate's index; raises
-        ValueError for an unknown predicate or two values on an exclusive dimension."""
-        vec = np.zeros(self.size, dtype=np.float64)
-        for pred in state.observed:
-            if pred not in self._pred_index:
-                raise ValueError(f"predicate {pred} not in context vocabulary")
-            vec[self._pred_index[pred]] = 1.0
-        self.rival_counts(vec[None] != 0)
-        return vec
+        """Row 0 of :meth:`encode_states` for the one state."""
+        return self.encode_states([state])[0]
 
 
 @dataclass(frozen=True)

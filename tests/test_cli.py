@@ -161,6 +161,37 @@ def test_audit_counts_a_label_the_rules_do_not_list_as_inconsistent(tmp_path, ca
         "label consistent with context: 8/12 (66.7%)\n")
 
 
+def test_audit_takes_rules_windowing_and_thresholds_from_a_config(tmp_path, capsys):
+    synthetic = yaml.safe_load(QUICK.read_text())["dataset"]["synthetic"]
+    cfg = write_config(tmp_path, dataset={"synthetic": {**synthetic, "violation_rate": 0}},
+                       discretization={"speed_thresholds": [1.0, 5.0, 20.0]})
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--dataset", str(tmp_path / "ds"), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "label consistent with context: 120/120 (100.0%)\n")
+    # the default thresholds class the same speeds differently
+    assert main(["audit", "--dataset", str(tmp_path / "ds"),
+                 "--rules", "configs/synthetic.rules"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "label consistent with context: 64/120 (53.3%)\n")
+
+
+@pytest.mark.parametrize("source", [[], ["--rules", "configs/synthetic.rules",
+                                         "--config", str(QUICK)]], ids=["neither", "both"])
+def test_audit_needs_exactly_one_of_rules_and_config(tmp_path, source):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--dataset", str(tmp_path), *source])
+    assert exc.value.code == 2
+
+
+def test_audit_window_seconds_conflicts_with_a_config(tmp_path, capsys):
+    rc = main(["audit", "--dataset", str(tmp_path), "--config", str(QUICK),
+               "--window-seconds", "2"])
+    assert rc == 2
+    assert "--window-seconds" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seconds", ["0", "-4", "nan", "inf"])
 def test_audit_window_seconds_must_be_positive_and_finite(tmp_path, seconds):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -115,9 +116,20 @@ def test_record_rejects_a_non_finite_measurement(name, value):
         RawContextRecord(0.0, **{name: value})
 
 
+@pytest.mark.parametrize("speed", [-50.0, -1e308, -5e-324])
+def test_record_rejects_a_negative_speed(speed):
+    # a sign error in a provider's data must not read as standing still
+    with pytest.raises(ValueError, match=re.escape(f"speed must be >= 0, got {speed}")):
+        RawContextRecord(0.0, speed=speed)
+
+
+def test_record_accepts_a_zero_speed_and_a_negative_pressure_delta():
+    assert state_of([RawContextRecord(0.0, speed=-0.0, pressure_delta=-1.0)]).observed == {
+        ContextPredicate("speed", "null"), ContextPredicate("height_variation", "positive")}
+
+
 @pytest.mark.parametrize("speeds, thresholds, expected", [
     ([1e308, 1e308], (0.1, 2.0, 7.0), "high"),
-    ([-1e308, -1e308, -1e308], (0.1, 2.0, 7.0), "null"),
     # the mean of 1e308 and 1e308 fits in a float, and is below a 1.5e308 threshold
     ([1e308, 1e308], (0.1, 2.0, 1.5e308), "medium"),
 ])
@@ -145,7 +157,7 @@ _TEXTS = st.one_of(st.none(), st.text(max_size=6),
                                     "snow", "space station"]))
 _RECORDS = st.builds(
     RawContextRecord, timestamp=st.floats(0.0, 10.0),
-    speed=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    speed=st.none() | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
     pressure_delta=st.none() | st.floats(allow_nan=False, allow_infinity=False),
     semantic_place=_TEXTS, transport_route_nearby=st.none() | st.booleans(), weather=_TEXTS)
 

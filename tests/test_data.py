@@ -1,5 +1,6 @@
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,63 @@ def test_generator_unsatisfiable_activity_guard(model, monkeypatch):
                                                        dtype=bool))
     with pytest.raises(ValueError, match="walking"):
         generate_synthetic(model, small_cfg())
+
+
+GENERATOR_CASES = [
+    pytest.param("configs/synthetic.rules", {}, id="synthetic-defaults"),
+    pytest.param("configs/domino.rules", {}, id="domino-defaults"),
+    pytest.param("configs/synthetic.rules", dict(violation_rate=0.0, noise=0.0), id="v0-noise0"),
+    pytest.param("configs/domino.rules", dict(violation_rate=0.0, noise=3.0), id="v0-noise3"),
+    pytest.param("configs/domino.rules", dict(violation_rate=0.05, noise=0.0), id="v0.05-noise0"),
+    pytest.param("configs/synthetic.rules", dict(violation_rate=0.05, noise=3.0),
+                 id="v0.05-noise3"),
+    pytest.param("configs/synthetic.rules", dict(violation_rate=1.0), id="v1"),
+    pytest.param("configs/domino.rules", dict(violation_rate=1.0, noise=3.0), id="domino-v1"),
+    pytest.param("configs/domino.rules", dict(phone_channels=1, watch_channels=4),
+                 id="channels-1-4"),
+    pytest.param("configs/synthetic.rules", dict(phone_channels=4, watch_channels=1),
+                 id="channels-4-1"),
+    pytest.param("configs/domino.rules", dict(windows_per_user=1), id="one-window"),
+    # 2.5 s at 7.5 Hz is 18.75 samples, rounded to 19
+    pytest.param("configs/synthetic.rules", dict(window_seconds=2.5, phone_rate=7.5,
+                                                  watch_rate=7.5), id="fractional-samples"),
+    pytest.param("configs/domino.rules", dict(window_seconds=2.5, phone_rate=7.5,
+                                               watch_rate=30.0), id="domino-fractional"),
+    pytest.param("configs/synthetic.rules", dict(window_seconds=0.01), id="zero-samples"),
+    pytest.param("configs/synthetic.rules", dict(unobserved_bias=1.0), id="bias1"),
+    pytest.param("configs/domino.rules", dict(unobserved_bias=1.0, violation_rate=0.05),
+                 id="domino-bias1"),
+]
+
+
+@pytest.mark.parametrize("rules, overrides", GENERATOR_CASES)
+def test_generator_matches_the_per_window_oracle(rules, overrides):
+    from data_reference import reference_generate_synthetic
+    model = load_knowledge(rules)
+    cfg = SyntheticConfig(**{**dict(users=3, windows_per_user=50, violation_rate=0.2,
+                                    seed=5), **overrides})
+    got, want = generate_synthetic(model, cfg), reference_generate_synthetic(model, cfg)
+    assert [ds.user for ds in got] == [ds.user for ds in want]
+    for g, w in zip(got, want):
+        for a, b in ((g.phone, w.phone), (g.watch, w.watch)):
+            assert (a.rate, a.channels) == (b.rate, b.channels)
+            assert a.values.shape == b.values.shape and a.values.dtype == b.values.dtype
+            assert a.values.tobytes() == b.values.tobytes()  # bit for bit, signed zeros too
+        assert g.context_records == w.context_records
+        assert g.annotations == w.annotations
+
+
+def test_generator_peak_memory_stays_within_three_times_its_streams(model):
+    cfg = SyntheticConfig(users=1, windows_per_user=4000, violation_rate=0.05)
+    tracemalloc.start()
+    try:
+        datasets = generate_synthetic(model, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    streams = sum(ds.phone.values.nbytes + ds.watch.values.nbytes for ds in datasets)
+    assert streams == 2 * 4000 * 3 * 100 * 8
+    assert peak <= 3 * streams
 
 
 def test_generator_rejects_unrealizable_dimension():
@@ -500,6 +558,8 @@ MALFORMED_ROWS = [
                  id="context-speed-nan"),
     pytest.param("context.csv", 4, 3, "-inf", "pressure_delta must be finite, got -inf",
                  id="context-pressure-delta-inf"),
+    pytest.param("context.csv", 3, 2, "-50.0", r"speed must be >= 0, got -50.0",
+                 id="context-speed-negative"),
 ]
 
 

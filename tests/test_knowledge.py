@@ -154,6 +154,48 @@ def test_state_exclusivity_validated():
         VOCAB.encode_state(state)
 
 
+def one_hot_rows(vocab, states):
+    """Each state's multi-hot row, built one predicate at a time."""
+    rows = np.zeros((len(states), vocab.size))
+    for i, state in enumerate(states):
+        for pred in state.observed:
+            rows[i, vocab.index(pred)] = 1.0
+    return rows
+
+
+@pytest.mark.parametrize("name", ["domino.rules", "synthetic.rules"])
+def test_encode_states_equals_the_stacked_single_rows(name):
+    vocab = load_knowledge(f"{RULES_DIR}/{name}").vocabulary
+    states = [ContextState(), *enumerate_realizable_states(vocab, DiscretizationConfig())]
+    rows = vocab.encode_states(states)
+    assert rows.shape == (len(states), vocab.size) and rows.dtype == np.float64
+    np.testing.assert_array_equal(rows, np.stack([vocab.encode_state(s) for s in states]),
+                                  strict=True)
+    np.testing.assert_array_equal(rows, one_hot_rows(vocab, states), strict=True)
+    assert vocab.encode_states([]).shape == (0, vocab.size)
+
+
+def test_encode_states_covers_a_multi_dimension():
+    states = [ContextState.from_pairs(p) for p in
+              ([], ["tags=pet", "tags=child"], ["location_type=outdoor", "tags=child"])]
+    np.testing.assert_array_equal(VOCAB.encode_states(states), one_hot_rows(VOCAB, states))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["location_type=indoor", "tags=goat"], "predicate tags=goat not in context vocabulary"),
+    (["location_type=indoor", "location_type=outdoor"],
+     "multiple values observed for exclusive dimension 'location_type'"),
+])
+def test_encode_states_raises_what_encode_state_raises(bad, message):
+    state = ContextState.from_pairs(bad)
+    with pytest.raises(ValueError) as single:
+        VOCAB.encode_state(state)
+    good = ContextState.from_pairs(["tags=pet"])
+    with pytest.raises(ValueError) as batch:
+        VOCAB.encode_states([good, state, good])
+    assert str(batch.value) == str(single.value) == message
+
+
 def test_query_rejects_two_values_on_an_exclusive_dimension():
     model = KnowledgeModel(("a",), VOCAB, {})
     rows = np.zeros((3, VOCAB.size))
