@@ -168,6 +168,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
             fits(f, float) and 0 < f <= 1 for f in fractions):
         errors.append("fractions: must be a non-empty list of numbers in (0, 1]")
         fractions = [1.0]
+    for name, values in (("strategies", [s.label for s in strategies]), ("fractions", fractions)):
+        repeated = sorted({str(v) for v in values if values.count(v) > 1})
+        if repeated:
+            errors.append(f"{name}: {', '.join(repeated)} listed more than once")
 
     repetitions = raw.get("repetitions", 5)
     if not fits(repetitions, int) or repetitions < 1:

@@ -9,8 +9,10 @@ mean +- 1.96 * s / sqrt(n)).
 Conventions, stated once: confusion rows are true activities, columns are
 predictions. A class with zero true and zero predicted instances contributes
 F1 = 0 and is flagged. The 90/10 train/validation split (``VAL_FRACTION``) is
-per-window within the training users. Strategies whose training is identical
-(baseline and context_refinement) share one trained network per cell.
+per-window within the training users. Within a (fold, fraction), strategies
+that train alike share one network: baseline and context_refinement do, and a
+semantic_loss strategy whose alpha is also an alpha-search candidate shares
+that candidate's network.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from .data import EncodedDataset, downsample_training
 from .knowledge import KnowledgeModel
+from .losses import LossConfig
 from .nn import NetworkSpec
 from .strategies import StrategyConfig, TrainConfig, TrainedModel, predict_many, train
 
@@ -68,12 +71,12 @@ def make_folds(users: Sequence[str], k: int, seed: int) -> FoldPlan:
     Every user appears in exactly one test group (the last group may be
     smaller); the grouping is a seeded shuffle, deterministic per seed.
     """
-    users = list(users)
+    order = list(users)
     if k < 1:
         raise ValueError("fold size k must be >= 1")
-    if k > len(users):
-        raise ValueError(f"fold size k={k} exceeds the {len(users)} available users")
-    order = list(users)
+    if k >= len(order):
+        raise ValueError(f"fold size k={k} leaves no training users among the "
+                         f"{len(order)} available")
     np.random.default_rng(seed).shuffle(order)
     folds = []
     for start in range(0, len(order), k):
@@ -171,6 +174,14 @@ class ExperimentReport:
     def mean_f1(self, strategy: str, fraction: float) -> float:
         return float(np.mean(self.rep_scores[(strategy, fraction)]))
 
+    def summary(self, strategy: str, fraction: float) -> tuple[list, float, float]:
+        """The repetition scores, their mean and 95% CI half-width; one score
+        has half-width 0, and none (every cell failed) reads nan, nan."""
+        scores = self.rep_scores.get((strategy, fraction), [])
+        if len(scores) >= 2:
+            return (scores, *confidence_interval(scores))
+        return (scores, scores[0], 0.0) if scores else (scores, float("nan"), float("nan"))
+
 
 VAL_FRACTION = 0.1
 
@@ -196,48 +207,45 @@ class _FoldJob:
     alpha_grid: tuple[int, ...]
 
 
+def _trainer(train_data: EncodedDataset, val_data: EncodedDataset, spec: NetworkSpec,
+             knowledge: KnowledgeModel | None, train_cfg: TrainConfig, seed: int):
+    """strategy -> its trained model. Each training signature trains once and
+    its network is handed out under the asking strategy's kind."""
+    models: dict = {}
+
+    def model_for(strategy: StrategyConfig) -> TrainedModel:
+        signature = strategy.training_signature()
+        if signature not in models:
+            models[signature] = train(train_data, val_data, strategy, spec, seed=seed,
+                                      knowledge=knowledge, cfg=train_cfg)
+        return dataclasses.replace(models[signature], kind=strategy.kind)
+    return model_for
+
+
 def _run_fold_job(job: _FoldJob) -> list[ExperimentCell]:
     """All strategy x fraction cells of one (repetition, fold); cells are
     returned in (fraction, strategy) order."""
-    from .losses import LossConfig
-
     k = len(job.pool.activities)
-    split_seed = int(_cell_seed(job.seed, job.fold_idx, 0).generate_state(1)[0])
-    sample_seed = int(_cell_seed(job.seed, job.fold_idx, 1).generate_state(1)[0])
-    train_seed = int(_cell_seed(job.seed, job.fold_idx, 2).generate_state(1)[0])
+    split_seed, sample_seed, train_seed = (
+        int(_cell_seed(job.seed, job.fold_idx, i).generate_state(1)[0]) for i in range(3))
     train_full, val_data = split_train_validation(job.pool, VAL_FRACTION, seed=split_seed)
     cells: list[ExperimentCell] = []
     for f_idx, fraction in enumerate(job.fractions):
         train_data = downsample_training(train_full, fraction, seed=sample_seed + f_idx)
-        model_cache: dict = {}
+        model_for = _trainer(train_data, val_data, job.spec, job.knowledge, job.train_cfg,
+                             train_seed)
         for strategy in job.strategies:
             try:
-                chosen_alpha = None
-                cfg = strategy
+                alpha = strategy.loss.alpha if strategy.kind == "semantic_loss" else None
                 if strategy.searches_alpha:
-                    chosen_alpha, _, searched = grid_search_alpha(
-                        strategy, job.alpha_grid, train_data, val_data,
-                        job.spec, job.knowledge, job.train_cfg, seed=train_seed)
-                    cfg = StrategyConfig(strategy.kind, LossConfig(
-                        strategy.loss.semantic_type, float(chosen_alpha)))
-                    model_cache[cfg.training_signature()] = searched
-                elif strategy.kind == "semantic_loss":
-                    chosen_alpha = strategy.loss.alpha
-                signature = cfg.training_signature()
-                model = model_cache.get(signature)
-                if model is None:
-                    model = train(
-                        train_data, val_data, cfg, job.spec, seed=train_seed,
-                        knowledge=job.knowledge, cfg=job.train_cfg)
-                    model_cache[signature] = model
-                if model.kind != cfg.kind:
-                    # the cache hands one cross-entropy network to both
-                    # baseline and context_refinement
-                    model = dataclasses.replace(model, kind=cfg.kind)
+                    alpha, _, model = _search_alpha(strategy, job.alpha_grid, val_data,
+                                                    model_for)
+                else:
+                    model = model_for(strategy)
                 preds, _, _ = predict_many(model, job.test, job.knowledge)
                 confusion = confusion_matrix(job.test.labels, preds, k)
                 cells.append(ExperimentCell(strategy.label, fraction, job.rep,
-                                            job.fold_idx, confusion, alpha=chosen_alpha))
+                                            job.fold_idx, confusion, alpha=alpha))
             except Exception as exc:  # noqa: BLE001 - a cell may fail, run continues
                 log.exception("cell %s failed",
                               (strategy.label, fraction, job.rep, job.fold_idx))
@@ -330,7 +338,7 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
     and their seeding does not depend on scheduling. A failing cell is
     recorded with its error and the run continues; so are all the cells of a
     job whose worker process dies. Strategies with identical
-    training signatures share one trained model per cell.
+    training signatures share one trained model per (fold, fraction).
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -343,29 +351,27 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
             not alpha_grid or any(a < 1 for a in alpha_grid)):
         raise ValueError("semantic_loss with alpha 0 needs a non-empty alpha grid "
                          f"of positive integers, got {tuple(alpha_grid)}")
+    labels = [s.label for s in strategies]
+    # results are keyed by label and fraction: a repeat would be pooled and reported twice
+    for name, values in (("strategies", labels), ("fractions", list(fractions))):
+        repeated = sorted({str(v) for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"{name}: {', '.join(repeated)} listed more than once")
 
-    users = sorted(encoded_by_user)
-    plan = make_folds(users, fold_k, fold_seed)
-    k = len(next(iter(encoded_by_user.values())).activities)
+    plan = make_folds(sorted(encoded_by_user), fold_k, fold_seed)
     report = ExperimentReport(
         activities=next(iter(encoded_by_user.values())).activities,
-        fractions=tuple(fractions),
-        strategies=tuple(s.label for s in strategies),
-        repetitions=repetitions)
+        fractions=tuple(fractions), strategies=tuple(labels), repetitions=repetitions)
 
-    jobs = []
-    for rep in range(repetitions):
-        for fold_idx, fold in enumerate(plan.folds):
-            assert not set(fold.test_users) & set(fold.train_users)
-            jobs.append(_FoldJob(
-                rep=rep, fold_idx=fold_idx, seed=int(seeds[rep]),
-                pool=EncodedDataset.concatenate(
-                    [encoded_by_user[u] for u in fold.train_users]),
-                test=EncodedDataset.concatenate(
-                    [encoded_by_user[u] for u in fold.test_users]),
-                strategies=tuple(strategies), fractions=tuple(fractions),
-                spec=spec, knowledge=knowledge, train_cfg=train_cfg,
-                alpha_grid=tuple(alpha_grid)))
+    fold_data = []      # (pool, test) per fold, shared by every repetition
+    for fold in plan.folds:
+        assert not set(fold.test_users) & set(fold.train_users)
+        fold_data.append([EncodedDataset.concatenate([encoded_by_user[u] for u in group])
+                          for group in (fold.train_users, fold.test_users)])
+    jobs = [_FoldJob(rep=rep, fold_idx=fold_idx, seed=int(seeds[rep]), pool=pool, test=test,
+                     strategies=tuple(strategies), fractions=tuple(fractions), spec=spec,
+                     knowledge=knowledge, train_cfg=train_cfg, alpha_grid=tuple(alpha_grid))
+            for rep in range(repetitions) for fold_idx, (pool, test) in enumerate(fold_data)]
 
     if workers > 1:
         from concurrent.futures.process import BrokenProcessPool
@@ -375,19 +381,15 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
     else:
         results = [_run_fold_job(job) for job in jobs]
 
-    per_rep_confusions: dict = {}
-    for cells in results:
-        for cell in cells:
-            report.cells.append(cell)
-            if cell.confusion is not None:
-                per_rep_confusions.setdefault(
-                    (cell.strategy, cell.fraction, cell.repetition),
-                    np.zeros((k, k), dtype=np.int64))[...] += cell.confusion
-
-    for key in sorted(per_rep_confusions):
-        label, fraction, rep = key
+    report.cells = [cell for cells in results for cell in cells]
+    pooled: dict = {}   # (strategy, fraction, repetition) -> the folds' summed confusion
+    for cell in report.cells:
+        if cell.confusion is not None:
+            key = (cell.strategy, cell.fraction, cell.repetition)
+            pooled[key] = pooled.get(key, 0) + cell.confusion
+    for label, fraction, rep in sorted(pooled):
         report.rep_scores.setdefault((label, fraction), []).append(
-            macro_f1(per_rep_confusions[key]))
+            macro_f1(pooled[label, fraction, rep]))
     return report
 
 
@@ -398,23 +400,24 @@ def grid_search_alpha(strategy: StrategyConfig, alphas: Sequence[int],
     """Pick the alpha with the best validation macro F1; ties to the lowest
     alpha. Returns it, every alpha's score, and the model trained with it.
     Deterministic given the seed."""
-    from .losses import LossConfig
+    return _search_alpha(strategy, alphas, val_data,
+                         _trainer(train_data, val_data, spec, knowledge, train_cfg, seed))
 
+
+def _search_alpha(strategy: StrategyConfig, alphas: Sequence[int], val_data: EncodedDataset,
+                  model_for) -> tuple[int, dict, TrainedModel]:
+    """grid_search_alpha over the models model_for trains: it only scores them."""
     if not alphas:
         raise ValueError("alpha grid is empty")
     if strategy.kind != "semantic_loss":
         raise ValueError("alpha grid search only applies to semantic_loss")
-    scores: dict = {}
-    models: dict = {}
-    k = len(train_data.activities)
+    scores, models = {}, {}
+    k = len(val_data.activities)
     for alpha in alphas:
-        cfg = StrategyConfig(strategy.kind,
-                             LossConfig(strategy.loss.semantic_type, float(alpha)))
-        model = train(train_data, val_data, cfg, spec, seed=seed, knowledge=knowledge,
-                      cfg=train_cfg)
+        model = models[int(alpha)] = model_for(StrategyConfig(
+            strategy.kind, LossConfig(strategy.loss.semantic_type, float(alpha))))
         preds, _, _ = predict_many(model, val_data)
         scores[int(alpha)] = macro_f1(confusion_matrix(val_data.labels, preds, k))
-        models[int(alpha)] = model
     best = max(sorted(scores), key=lambda a: scores[a])
     return best, scores, models[best]
 
@@ -431,21 +434,14 @@ def format_report_table(report: ExperimentReport) -> str:
     for label in report.strategies:
         row = [label]
         for fraction in fractions:
-            scores = report.rep_scores.get((label, fraction))
-            if not scores:
-                row.append("failed")
-            elif len(scores) == 1:
-                row.append(f"{scores[0]:.4f}")
-            else:
-                mean, half = confidence_interval(scores)
-                row.append(f"{mean:.4f} (±{half:.3f})")
+            scores, mean, half = report.summary(label, fraction)
+            row.append("failed" if not scores else f"{mean:.4f}" if len(scores) == 1
+                       else f"{mean:.4f} (±{half:.3f})")
         rows.append(row)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip())
-        if i == 0:
-            lines.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
+    lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
+             for row in rows]
+    lines.insert(1, "-" * (sum(widths) + 2 * (len(widths) - 1)))
     return "\n".join(lines) + "\n"
 
 
@@ -454,10 +450,10 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
     and summary.txt (the human-readable table). Deterministic output."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
+    paths = {"cells": out_dir / "cells.csv", "summary": out_dir / "summary.csv",
+             "table": out_dir / "summary.txt"}
 
-    cells_path = out_dir / "cells.csv"
-    with open(cells_path, "w", newline="") as f:
+    with open(paths["cells"], "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["strategy", "fraction", "repetition", "fold", "test_windows",
                          "alpha", "error", "confusion"])
@@ -469,27 +465,16 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
                 cell.error or "",
                 "" if cell.confusion is None else json.dumps(cell.confusion.tolist()),
             ])
-    paths["cells"] = cells_path
 
-    summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", newline="") as f:
+    with open(paths["summary"], "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["strategy", "fraction", "mean_macro_f1", "ci95_halfwidth",
                          "repetitions", "rep_macro_f1"])
         for label in report.strategies:
             for fraction in report.fractions:
-                scores = report.rep_scores.get((label, fraction), [])
-                if len(scores) >= 2:
-                    mean, half = confidence_interval(scores)
-                elif scores:
-                    mean, half = scores[0], 0.0
-                else:
-                    mean, half = float("nan"), float("nan")
+                scores, mean, half = report.summary(label, fraction)
                 writer.writerow([label, repr(fraction), repr(mean), repr(half),
                                  len(scores), json.dumps([repr(s) for s in scores])])
-    paths["summary"] = summary_path
 
-    table_path = out_dir / "summary.txt"
-    table_path.write_text(format_report_table(report), encoding="utf-8")
-    paths["table"] = table_path
+    paths["table"].write_text(format_report_table(report), encoding="utf-8")
     return paths

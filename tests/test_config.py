@@ -57,6 +57,11 @@ MALFORMED = [
     ("alpha_grid_bool", {"strategies": SEARCHING, "alpha_grid": [True]},
      "alpha_grid: must be a list of positive integers"),
     ("fractions_bool", {"fractions": [True]}, "fractions: must be a non-empty list"),
+    # results are keyed by strategy label and fraction; a repeat would be
+    # pooled into one score and reported twice
+    ("strategies_repeated", {"strategies": [{"kind": "baseline"}, {"kind": "baseline"}]},
+     "strategies: baseline listed more than once"),
+    ("fractions_repeated", {"fractions": [1.0, 1.0]}, "fractions: 1.0 listed more than once"),
     ("window_seconds_bool", {"window_seconds": True}, "window_seconds: must be a positive"),
     # values only the generated data can refute
     ("network_pool_zero", {"network.pool": 0}, "network: phone: pool size must be >= 1"),

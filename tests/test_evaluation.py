@@ -1,3 +1,4 @@
+import hashlib
 import os
 from pathlib import Path
 
@@ -56,6 +57,8 @@ def test_folds_deterministic_and_validated():
     assert make_folds(users, 1, seed=7) == make_folds(users, 1, seed=7)
     with pytest.raises(ValueError):
         make_folds(users, 4, seed=0)
+    with pytest.raises(ValueError, match="leaves no training users"):
+        make_folds(users, 3, seed=0)
     with pytest.raises(ValueError):
         make_folds(users, 0, seed=0)
 
@@ -287,6 +290,21 @@ def test_run_experiment_rejects_alpha_grid_entries_below_one(
             knowledge=tiny_model, train_cfg=FAST, alpha_grid=alpha_grid)
 
 
+@pytest.mark.parametrize("strategies, fractions, fragment", [
+    ([StrategyConfig("baseline"), StrategyConfig("baseline")], [1.0],
+     "strategies: baseline listed more than once"),
+    ([StrategyConfig("baseline")], [0.5, 1.0, 0.5], "fractions: 0.5 listed more than once"),
+], ids=["strategies", "fractions"])
+def test_run_experiment_rejects_repeated_strategies_and_fractions(
+        tiny_model, tiny_net_spec, encoded_by_user, strategies, fractions, fragment):
+    # results are keyed by label and fraction, so a repeat's confusions would be
+    # pooled into one score and reported twice
+    with pytest.raises(ValueError, match=fragment):
+        run_experiment(
+            encoded_by_user, strategies, fractions=fractions, repetitions=1, fold_k=1,
+            seeds=[0], spec=tiny_net_spec, knowledge=tiny_model, train_cfg=FAST)
+
+
 def test_grid_search_alpha_tie_breaks_low(tiny_model, tiny_net_spec, encoded_by_user):
     data = list(encoded_by_user.values())[0]
     strategy = StrategyConfig("semantic_loss", LossConfig("All", 0.0))
@@ -321,6 +339,37 @@ def test_alpha_search_trains_each_alpha_once(tmp_path, monkeypatch):
     monkeypatch.delenv("NESYHAR_THREADS", raising=False)
     assert cli_main(["run", "--config", str(path)]) == 0
     assert sorted(calls) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+
+
+def test_fixed_alpha_shares_the_network_of_its_search_candidate(tmp_path, monkeypatch):
+    # a fixed All alpha=2 and a search over [1, 2] need alpha 1 and alpha 2 once
+    # per fold: 6 trainings, not 9; the digests are those of the reports written
+    # when every strategy trained its own networks
+    cfg = yaml.safe_load(Path("configs/quick.yaml").read_text())
+    cfg.update(output_dir=str(tmp_path / "out"), repetitions=1, seeds=[11], alpha_grid=[1, 2],
+               strategies=[{"kind": "semantic_loss", "semantic_type": "All", "alpha": 2},
+                           {"kind": "semantic_loss", "semantic_type": "All"}])
+    cfg["training"]["epochs"] = 3
+    path = tmp_path / "overlap.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    calls = []
+    original = evaluation.train
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].loss.alpha)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train", counting)
+    monkeypatch.delenv("NESYHAR_THREADS", raising=False)
+    assert cli_main(["run", "--config", str(path)]) == 0
+    assert sorted(calls) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in ("cells.csv", "summary.csv", "summary.txt")}
+    assert digests == {
+        "cells.csv": "9b68bec949c3577bef7f1909408ba429f541a37d42362e77c216f7fdca21bdbf",
+        "summary.csv": "9dc77e9c2b5aced9e72d77f6dbd29206bd810b91ab0262f2bb59287bea96c2e5",
+        "summary.txt": "fdce240ddfe908efe2c75dbf4a6697d2fb59e9fbb7ab215f88c7e81094737cf4",
+    }
 
 
 def test_report_files_deterministic(tmp_path, tiny_model, tiny_net_spec, encoded_by_user):
