@@ -33,7 +33,7 @@ import itertools
 import logging
 import math
 import warnings
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -347,20 +347,39 @@ def _realizable(vocab: ContextVocabulary,
                 cfg: DiscretizationConfig) -> dict[ContextState, RawContextRecord]:
     """Each state that aggregating one record of candidate raw values yields, with
     the first such record, in state-space order: dimensions in declaration order,
-    within each unobserved first, then the values in declaration order."""
-    found: dict[ContextState, RawContextRecord] = {}
-    for values in itertools.product(*([None, *c] for c in _raw_candidates(vocab, cfg))):
-        record = RawContextRecord(0.0, *values)
-        found.setdefault(aggregate_context([record], cfg, vocab), record)
+    within each unobserved first, then the values in declaration order.
+
+    Each field of a record feeds its own dimensions, so a record's state is
+    the union of what its fields yield alone, and the first record of a state
+    (in the order of the product of the fields' candidates, None first) holds
+    each field's first value with that outcome.
+    """
+    def rank(observed: frozenset) -> list[int]:
+        index = {p.dimension: vocab.index(p) for p in observed}
+        return [index.get(dim.name, -1) for dim in vocab.dimensions]
+
+    names = [f.name for f in fields(RawContextRecord)][1:]
+    per_field = []      # per field: each outcome's rank, predicates and first value
+    for name, candidates in zip(names, _raw_candidates(vocab, cfg)):
+        first: dict[frozenset, object] = {}
+        for value in (None, *candidates):
+            state = aggregate_context([RawContextRecord(0.0, **{name: value})], cfg, vocab)
+            first.setdefault(state.observed, value)
+        per_field.append([(rank(observed), observed, value) for observed, value in first.items()])
+    observable = {p.dimension for outcomes in per_field for _, observed, _ in outcomes
+                  for p in observed}
     for dim in vocab.dimensions:
-        if not any(s.observes(dim.name) for s in found):
+        if dim.name not in observable:
             raise ValueError(f"no realizable context state observes dimension {dim.name!r}; "
                              "raw signals cannot express it")
 
-    def rank(state: ContextState) -> list[int]:
-        index = {p.dimension: vocab.index(p) for p in state.observed}
-        return [index.get(dim.name, -1) for dim in vocab.dimensions]
-    return dict(sorted(found.items(), key=lambda item: rank(item[0])))
+    found = []
+    for combination in itertools.product(*per_field):
+        ranks, observed, values = zip(*combination)
+        found.append(([max(r) for r in zip(*ranks)], ContextState(frozenset().union(*observed)),
+                      RawContextRecord(0.0, *values)))
+    found.sort(key=lambda item: item[0])
+    return {state: record for _, state, record in found}
 
 
 def enumerate_realizable_states(vocab: ContextVocabulary,

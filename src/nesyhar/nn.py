@@ -22,7 +22,10 @@ computed and ignored), and max pooling is an elementwise maximum over the
 pool's slices. Forward passes in train mode return a trace; :func:`backward`
 replays it to produce exact reverse-mode gradients for every parameter (and
 optionally the inputs), which the finite-difference utilities at the bottom
-verify. Infer-mode passes keep no trace and run large batches in blocks of
+verify. Backward mirrors that layout: a convolution's input gradient is one
+matrix product into a column matrix with zero pads on both sides, then one
+reduction over a strided view of its ``kernel`` shifts, added in ascending
+order. Infer-mode passes keep no trace and run large batches in blocks of
 ``INFER_BLOCK`` windows, so their memory does not grow with the batch.
 
 Convolutions are valid (no padding), stride 1, ReLU after every convolution
@@ -35,6 +38,7 @@ inference needs no rescaling.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping
@@ -263,7 +267,9 @@ class _ConvBuffers:
     ``y`` (filters, n * length) is its pre-activation output: column
     ``s * length + t`` is output t of window s, and the last kernel - 1
     columns of every window's slot straddle two windows and are never read.
-    ``gy``, ``dcols`` and ``gx`` are the gradients of ``y``, ``cols`` and ``x``.
+    ``gy``, ``dcols`` and ``gx`` are the gradients of ``y``, ``cols`` and ``x``;
+    ``summed`` (channels, kernel, n * length) reads the kernel shifts of
+    ``dcols`` whose sum is ``gx``.
     """
 
     def __init__(self, conv: _Conv, n: int, take: Callable[..., np.ndarray]):
@@ -297,15 +303,27 @@ class _ConvBuffers:
             slots = self.gy.reshape(f, n, -1)
             self.gy_tiles = slots[:, :, :groups * p].reshape(f, n, groups, p)
             self.gy_rest = slots[:, :, groups * p:]     # no pool window covers these
-        self.dcols = take(*self.cols.shape)
+        # dcols sits between kernel - 1 pad columns on each side, so that
+        # summed[i, j, t] = dcols[(i, j), t - j] is one strided read, a pad
+        # where t - j falls outside dcols
+        c, k = self.conv.channels, self.conv.kernel
+        pad, width = k - 1, self.span + 2 * (k - 1)
+        padded = take(c * k, width)
+        self.left_pad, self.right_pad = padded[:, :pad], padded[:, pad + self.span:]
+        self.dcols = padded[:, pad:pad + self.span]
         self.gx = take(*self.x.shape)
+        step = padded.itemsize
+        self.summed = as_strided(padded.reshape(-1)[pad:], (c, k, self.gx.shape[1]),
+                                 (k * width * step, (width - 1) * step, step),
+                                 writeable=False)
 
     @staticmethod
-    def size(conv: _Conv, n: int) -> int:
-        """Elements of x, cols and y, and so also of their gradients."""
-        span = n * conv.length - conv.kernel + 1
-        return (conv.channels * n * conv.length + conv.channels * conv.kernel * span
-                + conv.filters * n * conv.length)
+    def size(conv: _Conv, n: int) -> tuple[int, int]:
+        """Elements of x, cols and y, and of their gradients (dcols padded)."""
+        c, k = conv.channels, conv.kernel
+        span = n * conv.length - k + 1
+        forward = c * n * conv.length + c * k * span + conv.filters * n * conv.length
+        return forward, forward + 2 * c * k * (k - 1)
 
 
 class _Buffers:
@@ -336,9 +354,10 @@ class _Buffers:
 
     @staticmethod
     def size(plan: "_Plan", n: int) -> int:
-        branches = [sum(_ConvBuffers.size(conv, n) for conv in convs)
-                    for convs in plan.branches.values()]
-        return sum(branches) + max(branches)
+        sizes = [[_ConvBuffers.size(conv, n) for conv in convs]
+                 for convs in plan.branches.values()]
+        return (sum(forward for blocks in sizes for forward, _ in blocks)
+                + max(sum(gradients for _, gradients in blocks) for blocks in sizes))
 
 
 class _Scratch:
@@ -379,7 +398,7 @@ _SCRATCH = _Scratch()
 
 class _Plan:
     """What one spec compiles to: the parameter layout (parameter_shapes()
-    order) and the conv blocks of each branch."""
+    order), the conv blocks of each branch and the trunk input's columns."""
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
@@ -395,6 +414,11 @@ class _Plan:
                 convs.append(conv)
                 channels, length = filters, conv.out // branch.pool
             self.branches[name] = tuple(convs)
+        # the columns of each part of the trunk's input: phone, watch, context
+        # and, with infusion, the consistency vector
+        widths = [spec.phone.dense, spec.watch.dense, spec.context_dense]
+        edges = list(itertools.accumulate(widths + [spec.classes] * spec.infusion, initial=0))
+        self.features = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
 
 
 @functools.lru_cache(maxsize=16)
@@ -416,20 +440,24 @@ def _conv_forward(block: _ConvBuffers, w: np.ndarray, b: np.ndarray) -> None:
 def _conv_backward(block: _ConvBuffers, w: np.ndarray, gw: np.ndarray, gb: np.ndarray,
                    want_input: bool) -> np.ndarray | None:
     """Parameter gradients from block.gy; with want_input, also the input
-    gradient (into block.gx): wᵀ·gy, its k column shifts added up."""
-    np.sum(block.gy, axis=1, out=gb)
+    gradient (into block.gx): dcols = wᵀ·gy, then gx[i, t] is the sum over
+    j of dcols[(i, j), t - j], one reduction over block.summed.
+
+    The sum runs over j in ascending order from -0.0. The left pads are
+    -0.0, so adding one changes no value, signed zeros included; the right
+    pads are +0.0, so a column whose j = 0 term is a pad starts from +0.0.
+    That is bit for bit the j = 0 shift copied and the other k - 1 shifts
+    added in place (tests/nn_reference.py keeps that loop as the oracle).
+    The branches share the gradient memory, so every call writes the pads.
+    """
+    np.add.reduce(block.gy, axis=1, out=gb)
     np.matmul(block.gy_valid, block.cols.T, out=gw.reshape(gw.shape[0], -1))
     if not want_input:
         return None
-    c, k = w.shape[1], w.shape[2]
     np.matmul(w.reshape(w.shape[0], -1).T, block.gy_valid, out=block.dcols)
-    shifted = block.dcols.reshape(c, k, block.span)
-    gx, span = block.gx, block.span
-    np.copyto(gx[:, :span], shifted[:, 0])
-    gx[:, span:] = 0.0
-    for j in range(1, k):
-        gx[:, j:j + span] += shifted[:, j]
-    return gx
+    block.left_pad.fill(-0.0)
+    block.right_pad.fill(0.0)
+    return np.add.reduce(block.summed, axis=1, out=block.gx, initial=-0.0)
 
 
 def _pool_relu_forward(block: _ConvBuffers) -> None:
@@ -448,15 +476,18 @@ def _pool_relu_backward(block: _ConvBuffers, g: np.ndarray) -> None:
     tiles, out, g_tiles = block.tiles, block.pooled, block.gy_tiles
     block.gy_rest.fill(0.0)
     g *= out > 0.0
-    for j in range(tiles.shape[3] - 1):
+    last = tiles.shape[3] - 1
+    if not last:
+        np.copyto(g_tiles[..., 0], g)
+    for j in range(last):
         np.multiply(g, tiles[..., j] == out, out=g_tiles[..., j])
-        g -= g_tiles[..., j]        # what the first winner took, exactly
-    np.copyto(g_tiles[..., -1], g)
+        # what the first winner took, exactly; the last slice gets the rest
+        np.subtract(g, g_tiles[..., j], out=g_tiles[..., last] if j == last - 1 else g)
 
 
 def _global_pool_relu_forward(block: _ConvBuffers) -> np.ndarray:
     """ReLU of each window's maximum output, shaped (filters, n)."""
-    return np.max(block.outputs, axis=2, initial=0.0)
+    return np.maximum.reduce(block.outputs, axis=2, initial=0.0)
 
 
 def _global_pool_relu_backward(block: _ConvBuffers, g: np.ndarray, pooled: np.ndarray) -> None:
@@ -615,24 +646,24 @@ def backward(trace: Trace | None, grad_probs: np.ndarray,
     p = acts["probs"]
     g = p * (grad_probs - (grad_probs * p).sum(axis=1, keepdims=True))
     np.matmul(acts["hidden"].T, g, out=grads["out.w"])
-    np.sum(g, axis=0, out=grads["out.b"])
+    np.add.reduce(g, axis=0, out=grads["out.b"])
     g = g @ params["out.w"].T
     g *= acts["hidden"] > 0
     np.matmul(acts["feats"].T, g, out=grads["trunk.dense.w"])
-    np.sum(g, axis=0, out=grads["trunk.dense.b"])
+    np.add.reduce(g, axis=0, out=grads["trunk.dense.b"])
     g = g @ params["trunk.dense.w"].T
     if acts["dropout"] is not None:
         keep, scale = acts["dropout"]
-        g = g * keep * scale
+        g *= keep
+        g *= scale
 
     parts = acts["parts"]
-    splits = np.cumsum([part.shape[1] for part in parts])[:-1]
-    g_parts = np.split(g, splits, axis=1)
+    g_parts = [g[:, columns] for columns in plan.features]
     input_grads = {}
 
     g_ctx = g_parts[2] * (parts[2] > 0)
     np.matmul(acts["context"].T, g_ctx, out=grads["context.dense.w"])
-    np.sum(g_ctx, axis=0, out=grads["context.dense.b"])
+    np.add.reduce(g_ctx, axis=0, out=grads["context.dense.b"])
     if want_input_grads:
         input_grads["context"] = g_ctx @ params["context.dense.w"].T
         if spec.infusion:
@@ -643,7 +674,7 @@ def backward(trace: Trace | None, grad_probs: np.ndarray,
         g_dense = g_dense * (h > 0)
         pooled = acts[f"{name}.pooled"]
         np.matmul(pooled, g_dense, out=grads[f"{name}.dense.w"])
-        np.sum(g_dense, axis=0, out=grads[f"{name}.dense.b"])
+        np.add.reduce(g_dense, axis=0, out=grads[f"{name}.dense.b"])
         g_pooled = params[f"{name}.dense.w"] @ g_dense.T           # (filters, n)
         _global_pool_relu_backward(blocks[-1], g_pooled, pooled)
         for i in reversed(range(len(convs))):

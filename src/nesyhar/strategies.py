@@ -130,6 +130,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ValueError("epochs, batch_size and patience must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
 
 
 class EarlyStopping:
@@ -309,10 +312,10 @@ def predict_many(model: TrainedModel, data: EncodedDataset,
                        infusion=masks if model.kind == "symbolic_features" else None,
                        mode="infer")
 
-    diagnostics: list[dict] = [{} for _ in range(len(data))]
-    if masks is not None:
-        for i in range(len(data)):
-            diagnostics[i]["consistent"] = masks[i].astype(np.int64)
+    if masks is None:
+        diagnostics: list[dict] = [{} for _ in range(len(data))]
+    else:   # each row's vector is a row of one converted matrix
+        diagnostics = [{"consistent": row} for row in masks.astype(np.int64)]
     if model.kind == "context_refinement":
         for i in range(len(data)):
             probs[i], diagnostics[i]["fallback"] = refine(probs[i], masks[i])

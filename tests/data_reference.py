@@ -9,17 +9,22 @@ must agree with the two on any recording, bit for bit.
 
 ``reference_generate_synthetic`` renders one window at a time, in the loop
 that draws its random numbers; ``generate_synthetic`` must return the same
-streams, records and annotations, bit for bit.
+streams, records and annotations, bit for bit. ``reference_realizable``
+aggregates every record of the product of the fields' candidate values;
+``_realizable`` must return the same states, in the same order, with the
+same first records.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from nesyhar.context import DiscretizationConfig, RawContextRecord, aggregate_context
-from nesyhar.data import Annotation, SensorStream, UserDataset, _realizable, _signature_templates
+from nesyhar.data import (Annotation, SensorStream, UserDataset, _raw_candidates,
+                          _signature_templates)
 
 
 @dataclass(frozen=True)
@@ -85,12 +90,31 @@ def _window_signal(templates, activity: int, rng: np.random.Generator, channels:
     return signal + rng.normal(scale=0.6 * noise, size=(channels, samples))
 
 
+def reference_realizable(vocab, cfg):
+    """``_realizable`` by aggregating one record of every combination of
+    candidate values (None first), keeping the first record of each state,
+    then sorting the states."""
+    found = {}
+    for values in itertools.product(*([None, *c] for c in _raw_candidates(vocab, cfg))):
+        record = RawContextRecord(0.0, *values)
+        found.setdefault(aggregate_context([record], cfg, vocab), record)
+    for dim in vocab.dimensions:
+        if not any(s.observes(dim.name) for s in found):
+            raise ValueError(f"no realizable context state observes dimension {dim.name!r}; "
+                             "raw signals cannot express it")
+
+    def rank(state):
+        index = {p.dimension: vocab.index(p) for p in state.observed}
+        return [index.get(dim.name, -1) for dim in vocab.dimensions]
+    return dict(sorted(found.items(), key=lambda item: rank(item[0])))
+
+
 def reference_generate_synthetic(model, cfg, disc=None):
     """``generate_synthetic`` one window at a time: each window is rendered
     right after its draws, and the consistent state comes from ``rng.choice``."""
     disc = disc or DiscretizationConfig()
     vocab = model.vocabulary
-    realizable = _realizable(vocab, disc)
+    realizable = reference_realizable(vocab, disc)
     states, representatives = list(realizable), list(realizable.values())
     k = model.num_activities
 

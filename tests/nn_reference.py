@@ -34,6 +34,22 @@ def conv1d_bwd(g, cache):
     return gx, gw, gb
 
 
+def shifted_add_input_gradient(w, gy, width):
+    """A conv layer's input gradient the way ``nesyhar.nn`` once computed it,
+    kept as its byte oracle: dcols = wᵀ·gy, its j = 0 shift copied, the other
+    k - 1 shifts added in place. gy (filters, span) covers the windows end to
+    end; returns gx (channels, width), the columns past span + j zero."""
+    f, c, k = w.shape
+    span = gy.shape[1]
+    shifted = (w.reshape(f, -1).T @ gy).reshape(c, k, span)
+    gx = np.empty((c, width))
+    np.copyto(gx[:, :span], shifted[:, 0])
+    gx[:, span:] = 0.0
+    for j in range(1, k):
+        gx[:, j:j + span] += shifted[:, j]
+    return gx
+
+
 def maxpool_fwd(x, size):
     # stride == size, remainder dropped; argmax keeps the first (lowest) index
     n, c, length = x.shape

@@ -79,6 +79,15 @@ MALFORMED = [
      "training: epochs must be an integer, got True"),
     ("training_learning_rate_bool", {"training.learning_rate": True},
      "training: learning_rate must be a number, got True"),
+    # a rate that is not positive and finite trains nothing, or climbs the loss
+    ("training_learning_rate_nan", {"training.learning_rate": float("nan")},
+     "training: learning_rate must be positive and finite, got nan"),
+    ("training_learning_rate_inf", {"training.learning_rate": float("inf")},
+     "training: learning_rate must be positive and finite, got inf"),
+    ("training_learning_rate_zero", {"training.learning_rate": 0},
+     "training: learning_rate must be positive and finite, got 0.0"),
+    ("training_learning_rate_negative", {"training.learning_rate": -0.001},
+     "training: learning_rate must be positive and finite, got -0.001"),
     ("discretization_threshold_bool", {"discretization": {"speed_thresholds": [0.1, True, 7]}},
      "discretization: speed_thresholds[1] must be a number, got True"),
     # discretization values that would leave a context class unreachable

@@ -12,6 +12,7 @@ from nesyhar.data import (
     SensorStream,
     SyntheticConfig,
     UserDataset,
+    _realizable,
     downsample_training,
     encode_user_datasets,
     encode_windows,
@@ -296,6 +297,32 @@ def test_partial_place_vocabulary_realizes_locations_only_through_declared_place
     assert states == [ContextState(),
                       ContextState.from_pairs(["location_type=indoor", "semantic_place=home"]),
                       ContextState.from_pairs(["location_type=outdoor", "semantic_place=street"])]
+
+
+REALIZABLE_CASES = {
+    "synthetic.rules": ("configs/synthetic.rules", DISC),
+    "domino.rules": ("configs/domino.rules", DISC),
+    "partial places": (PARTIAL_PLACES, DISC),
+    # several strings per value, a place without a location, fewer weathers
+    "domino.rules, other thresholds and maps": ("configs/domino.rules", DiscretizationConfig(
+        speed_thresholds=(0.5, 3.0, 10.0), height_epsilon=0.2,
+        place_map={"pitch": "park", "house": "home", "home": "home", "depot": "street"},
+        place_location={"home": "indoor", "park": "outdoor"},
+        weather_map={"overcast": "cloudy", "drizzle": "rainy", "rain": "rainy"})),
+    # locations only, through places mapped the other way round
+    "synthetic.rules, other thresholds and maps": ("configs/synthetic.rules", DiscretizationConfig(
+        speed_thresholds=(1.0, 1.5, 20.0), height_epsilon=1e-3,
+        place_location={"park": "indoor", "home": "outdoor", "gym": "outdoor"})),
+}
+
+
+@pytest.mark.parametrize("rules, disc", REALIZABLE_CASES.values(), ids=REALIZABLE_CASES)
+def test_realizable_states_match_the_product_oracle(rules, disc):
+    from data_reference import reference_realizable
+
+    model = load_knowledge(rules) if rules.startswith("configs/") else parse_knowledge(rules)
+    got = _realizable(model.vocabulary, disc)
+    assert list(got.items()) == list(reference_realizable(model.vocabulary, disc).items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nesyhar.config import NetworkConfig
-from nesyhar.losses import LossConfig
+from nesyhar.losses import LossConfig, combined_loss_batch
 from nesyhar.nn import (
     INFER_BLOCK,
     AdamState,
@@ -26,10 +27,11 @@ from nesyhar.nn import (
     parameter_count,
     random_small_spec,
     run_gradient_check_suite,
+    _conv_backward,
     _dropout_fwd,
 )
 from nn_reference import finite_difference_gradients as per_tensor_finite_differences
-from nn_reference import reference_backward, reference_forward
+from nn_reference import reference_backward, reference_forward, shifted_add_input_gradient
 
 
 def reference_spec(phone_length=400):
@@ -338,6 +340,38 @@ def test_forward_and_backward_match_reference_kernels(case):
         np.testing.assert_allclose(input_grads[name], value, err_msg=name, **tolerance)
 
 
+@pytest.mark.parametrize("integer", [False, True], ids=["normal", "integer"])
+@pytest.mark.parametrize("kernel", [1, 2, 5])
+def test_conv_input_gradient_is_the_shifted_add_loop_byte_for_byte(kernel, integer):
+    # integer weights and gradients make ties and exact cancellations common;
+    # every third column of the output gradient is all zero
+    spec = NetworkSpec(
+        phone=BranchSpec(channels=3, length=17, filters=(4, 3), kernels=(kernel, 3), pool=2,
+                         dense=3),
+        watch=BranchSpec(channels=2, length=9, filters=(2,), kernels=(kernel,), pool=2, dense=2),
+        context_size=2, classes=3, context_dense=2, trunk_dense=4, dropout=0.0)
+    rng = np.random.default_rng(kernel)
+    params = build_network(spec, seed=kernel)
+    for n in (1, 4):
+        _, trace = forward(params, spec, *tiny_inputs(spec, n=n, seed=n), mode="train")
+        for convs, blocks in zip(trace.plan.branches.values(), trace.buffers.branches):
+            for conv, block in zip(convs, blocks):
+                w = params[conv.w]
+                if integer:
+                    w[...] = rng.integers(-1, 2, size=w.shape)
+                    block.gy[...] = rng.integers(-2, 3, size=block.gy.shape)
+                else:
+                    block.gy[...] = rng.normal(size=block.gy.shape)
+                block.gy[:, ::3] = 0.0
+                expected = shifted_add_input_gradient(w, block.gy_valid, block.gx.shape[1])
+                # the pads share memory with the other branch's gradients
+                block.left_pad.fill(np.nan)
+                block.right_pad.fill(np.nan)
+                gx = _conv_backward(block, w, np.empty_like(w), np.empty(conv.filters),
+                                    want_input=True)
+                assert gx.tobytes() == expected.tobytes()
+
+
 def test_parameter_gradients_do_not_depend_on_want_input_grads():
     spec = tiny_spec(infusion=True, dropout=0.2)
     params = build_network(spec, seed=8)
@@ -566,3 +600,74 @@ def test_adam_rejects_non_finite_gradient():
         adam_step(params, Parameters.pack({"w": np.array([1.0]), "b": np.array([np.nan])}),
                   state)
     assert not params.flat.any() and state.step == 0
+
+
+# ---------------------------------------------------------------------------
+# Pinned training trajectories: the bit-identity gate for nn performance work
+# ---------------------------------------------------------------------------
+
+def _grid_spec():
+    """The network the benchmark's grid workload trains (configs/quick.yaml's
+    network on 4 s windows of 3-channel 25 Hz streams, synthetic.rules)."""
+    return NetworkConfig(phone_filters=(6, 8), phone_kernels=(7, 5), watch_filters=(6, 8),
+                         watch_kernels=(5, 3), pool=2, branch_dense=16, context_dense=8,
+                         trunk_dense=32, dropout=0.1).to_spec(
+        phone_channels=3, phone_length=100, watch_channels=3, watch_length=100,
+        context_size=11, classes=5)
+
+
+TRAJECTORY_SPECS = {
+    "grid": _grid_spec(),
+    "infusion": NetworkSpec(
+        phone=BranchSpec(channels=2, length=30, filters=(4, 5), kernels=(4, 3), pool=2, dense=6),
+        watch=BranchSpec(channels=1, length=25, filters=(3,), kernels=(5,), pool=2, dense=4),
+        context_size=4, classes=3, context_dense=3, trunk_dense=7, dropout=0.2,
+        infusion=True),
+    "kernel 1, pool 1": NetworkSpec(
+        phone=BranchSpec(channels=2, length=9, filters=(3, 4), kernels=(1, 2), pool=1, dense=5),
+        watch=BranchSpec(channels=3, length=7, filters=(2, 2), kernels=(1, 1), pool=1, dense=3),
+        context_size=3, classes=4, context_dense=2, trunk_dense=6, dropout=0.0),
+    # phone: 41 -> 38 -> 12 (remainder 2) -> 10 -> 3 (remainder 1) -> 2
+    "pool 3 with remainders": NetworkSpec(
+        phone=BranchSpec(channels=2, length=41, filters=(3, 4, 2), kernels=(4, 3, 2), pool=3,
+                         dense=5),
+        watch=BranchSpec(channels=1, length=23, filters=(3, 3), kernels=(3, 2), pool=3, dense=4),
+        context_size=3, classes=4, context_dense=3, trunk_dense=5, dropout=0.0),
+}
+
+
+def trajectory_digest(steps=20):
+    """sha256 over the gradient, input-gradient and final parameter bytes of
+    seeded Adam trajectories under the `All` loss: every spec above at
+    batches 1, 11 and 32, integer-valued inputs (ties in the pools) on odd
+    steps."""
+    loss_cfg = LossConfig("All", 2.0)
+    digest = hashlib.sha256()
+    for index, spec in enumerate(TRAJECTORY_SPECS.values()):
+        for n in (1, 11, 32):
+            rng = np.random.default_rng([index, n])
+            params = build_network(spec, seed=index)
+            state = AdamState.fresh(params)
+            for step in range(steps):
+                phone, watch, context, infusion = tiny_inputs(spec, n=n, seed=step)
+                if step % 2:
+                    phone, watch = np.rint(phone), np.rint(watch)
+                labels = rng.integers(0, spec.classes, size=n)
+                masks = rng.integers(0, 2, size=(n, spec.classes)).astype(bool)
+                probs, trace = forward(params, spec, phone, watch, context, infusion,
+                                       mode="train", rng=rng)
+                _, grad_probs = combined_loss_batch(probs, labels, masks, loss_cfg)
+                grads, input_grads = backward(trace, grad_probs, want_input_grads=True)
+                digest.update(grads.flat.tobytes())
+                for value in input_grads.values():
+                    digest.update(np.ascontiguousarray(value).tobytes())
+                adam_step(params, grads, state, lr=0.01)
+            digest.update(params.flat.tobytes())
+    return digest.hexdigest()
+
+
+def test_training_trajectories_are_pinned_byte_for_byte():
+    # A change to the order of nn's arithmetic moves this digest, and with it
+    # the training trajectories and every report; a pure speed-up keeps it.
+    assert trajectory_digest() == (
+        "502049e8842dd3e5637c4debbe20bd8d552d763e67ce0e0e05f57c0922923e4f")
