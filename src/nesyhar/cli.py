@@ -78,10 +78,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .config import ConfigError, load_config
-    from .data import encode_user_datasets, generate_synthetic, load_dataset
-    from .evaluation import format_report_table, run_experiment, write_report
-    from .knowledge import load_knowledge
+    from .config import ConfigError, load_config, prepare_experiment
+    from .evaluation import ExperimentError, format_report_table, run_experiment, write_report
 
     started = time.monotonic()
     threads = os.environ.get("NESYHAR_THREADS", "1")
@@ -89,38 +87,20 @@ def cmd_run(args) -> int:
     if workers < 1:
         raise UsageError(f"NESYHAR_THREADS must be a positive integer, got {threads!r}")
     cfg = load_config(args.config)
-    model = load_knowledge(cfg.rules)
-    if cfg.synthetic is not None:
-        datasets = generate_synthetic(model, cfg.synthetic, cfg.discretization)
-    else:
-        datasets = load_dataset(cfg.dataset_dir)
-    encoded = encode_user_datasets(datasets, model, cfg.window_seconds, cfg.discretization)
-    if not encoded:
-        raise UsageError("no usable windows in the dataset")
-    # what the data must meet: a network that fits its windows, a fold_k
-    # that leaves training users
-    first = next(iter(encoded.values()))
-    try:
-        spec = cfg.network.to_spec(
-            phone_channels=first.phone.shape[1], phone_length=first.phone.shape[2],
-            watch_channels=first.watch.shape[1], watch_length=first.watch.shape[2],
-            context_size=first.context.shape[1], classes=len(first.activities))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([f"network: {exc}"], args.config) from None
-    if cfg.fold_k >= len(encoded):
-        raise ConfigError([f"fold_k: {cfg.fold_k} leaves no training users among the "
-                           f"{len(encoded)} with usable windows"], args.config)
-    report = run_experiment(
-        encoded, cfg.strategies, cfg.fractions, cfg.repetitions, cfg.fold_k,
-        cfg.seeds, spec, knowledge=model, train_cfg=cfg.training,
-        fold_seed=cfg.fold_seed, alpha_grid=cfg.alpha_grid, workers=workers)
+    try:  # what only the data can refute: usable windows, the network, fold_k
+        model, encoded, spec = prepare_experiment(cfg)
+        report = run_experiment(
+            encoded, cfg.strategies, cfg.fractions, cfg.repetitions, cfg.fold_k,
+            cfg.seeds, spec, knowledge=model, train_cfg=cfg.training,
+            fold_seed=cfg.fold_seed, alpha_grid=cfg.alpha_grid, workers=workers)
+    except ExperimentError as exc:
+        raise ConfigError(exc.problems, args.config) from None
     paths = write_report(report, cfg.output_dir)
     print(format_report_table(report), end="")
     failed = [c for c in report.cells if c.error]
     if failed:
         print(f"{len(failed)} cell(s) failed; see {paths['cells']}")
-    print(f"report written to {cfg.output_dir} "
-          f"({time.monotonic() - started:.1f}s)")
+    print(f"report written to {cfg.output_dir} ({time.monotonic() - started:.1f}s)")
     return 1 if failed else 0
 
 
@@ -280,15 +260,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError, RuleFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, RuleFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         log.debug("unhandled failure", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Experiment configuration: one YAML file holds every knob of a run.
 
 Validation is exhaustive: all problems in a config are collected and reported
-together before aborting, so a config can be fixed in one pass.
+together before aborting, so a config can be fixed in one pass. The grid's checks
+are ``evaluation.grid_problems``; ``prepare_experiment`` makes a run's data.
 """
 
 from __future__ import annotations
@@ -14,23 +15,20 @@ import yaml
 
 from .context import DiscretizationConfig
 from .data import SyntheticConfig
+from .evaluation import ExperimentError, grid_problems
+from .knowledge import KnowledgeModel
 from .losses import LossConfig
 from .nn import BranchSpec, NetworkSpec
 from .records import fits, from_mapping
 from .strategies import StrategyConfig, TrainConfig
 
-__all__ = ["ConfigError", "NetworkConfig", "ExperimentConfig", "load_config"]
+__all__ = ["ConfigError", "NetworkConfig", "ExperimentConfig", "load_config", "prepare_experiment"]
 
 DEFAULT_ALPHA_GRID = tuple(range(1, 31))
 
 
-class ConfigError(ValueError):
-    """One or more problems in an experiment config; message lists them all."""
-
-    def __init__(self, errors: list[str], source: str):
-        self.errors = errors
-        lines = "\n".join(f"  - {e}" for e in errors)
-        super().__init__(f"{source}: {len(errors)} config problem(s):\n{lines}")
+class ConfigError(ExperimentError):
+    """One or more problems in an experiment config file; message lists them all."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +92,14 @@ def _section(where: str, cls: type, raw: Any, errors: list[str], **fixed: Any) -
         return None
 
 
+def _path(raw: Any, key: str, errors: list[str]) -> Path | None:
+    """The path a config key names, or None after recording why it names none."""
+    if isinstance(raw, str) and raw:
+        return Path(raw)
+    errors.append(f"{key}: required, as a non-empty path")
+    return None
+
+
 def _parse_strategies(raw: Any, errors: list[str]) -> list[StrategyConfig]:
     strategies: list[StrategyConfig] = []
     if not isinstance(raw, list) or not raw:
@@ -133,15 +139,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if unknown:
         errors.append(f"unknown top-level key(s): {sorted(unknown)}")
 
-    rules = Path(str(raw.get("rules", "")))
-    if "rules" not in raw:
-        errors.append("rules: required (path to the knowledge rule file)")
-    elif not rules.is_file():
+    rules = _path(raw.get("rules"), "rules", errors)
+    if rules is not None and not rules.is_file():
         errors.append(f"rules: file not found: {rules}")
-
-    if "output_dir" not in raw:
-        errors.append("output_dir: required")
-    output_dir = Path(str(raw.get("output_dir", "out")))
+    output_dir = _path(raw.get("output_dir"), "output_dir", errors)
 
     window_seconds = raw.get("window_seconds", 4.0)
     if not fits(window_seconds, float) or window_seconds <= 0:
@@ -149,41 +150,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
         window_seconds = 4.0
 
     dataset = raw.get("dataset")
-    dataset_dir = None
-    synthetic = None
+    dataset_dir = synthetic = None
     if not isinstance(dataset, Mapping) or len(set(dataset) & {"directory", "synthetic"}) != 1:
         errors.append("dataset: must contain exactly one of 'directory' or 'synthetic'")
     elif "directory" in dataset:
-        dataset_dir = Path(str(dataset["directory"]))
-        if not dataset_dir.is_dir():
+        dataset_dir = _path(dataset["directory"], "dataset.directory", errors)
+        if dataset_dir is not None and not dataset_dir.is_dir():
             errors.append(f"dataset.directory: not a directory: {dataset_dir}")
     else:
         synthetic = _section("dataset.synthetic", SyntheticConfig, dataset["synthetic"],
                              errors, window_seconds=float(window_seconds))
 
     strategies = _parse_strategies(raw.get("strategies"), errors)
-
     fractions = raw.get("fractions", [1.0])
-    if not isinstance(fractions, list) or not fractions or not all(
-            fits(f, float) and 0 < f <= 1 for f in fractions):
-        errors.append("fractions: must be a non-empty list of numbers in (0, 1]")
-        fractions = [1.0]
-    for name, values in (("strategies", [s.label for s in strategies]), ("fractions", fractions)):
-        repeated = sorted({str(v) for v in values if values.count(v) > 1})
-        if repeated:
-            errors.append(f"{name}: {', '.join(repeated)} listed more than once")
-
     repetitions = raw.get("repetitions", 5)
-    if not fits(repetitions, int) or repetitions < 1:
-        errors.append("repetitions: must be a positive integer")
-        repetitions = 1
-
     seeds = raw.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(fits(s, int) for s in seeds):
-        errors.append("seeds: must be a non-empty list of integers")
-    elif len(seeds) < repetitions:
-        errors.append(f"seeds: need at least one per repetition "
-                      f"({len(seeds)} given, {repetitions} repetitions)")
+    alpha_grid = raw.get("alpha_grid", list(DEFAULT_ALPHA_GRID))
+    errors += grid_problems(strategies, fractions, repetitions, seeds, alpha_grid)
 
     fold_k = raw.get("fold_k", 1)
     if not fits(fold_k, int) or fold_k < 1:
@@ -191,16 +174,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     fold_seed = raw.get("fold_seed", 0)
     if not fits(fold_seed, int):
         errors.append("fold_seed: must be an integer")
-
-    alpha_grid = raw.get("alpha_grid", list(DEFAULT_ALPHA_GRID))
-    if not isinstance(alpha_grid, list) or not all(fits(a, int) and a >= 1 for a in alpha_grid):
-        errors.append("alpha_grid: must be a list of positive integers "
-                      "(the no-penalty comparison is the baseline strategy)")
-        alpha_grid = list(DEFAULT_ALPHA_GRID)
-    searching = [s.label for s in strategies if s.searches_alpha]
-    if not alpha_grid and searching:
-        errors.append(f"alpha_grid: empty, but {', '.join(searching)} needs a positive "
-                      "alpha or alphas to search (alpha 0 trains plain cross-entropy)")
 
     network = _section("network", NetworkConfig, raw.get("network", {}), errors)
     training = _section("training", TrainConfig, raw.get("training", {}), errors,
@@ -217,3 +190,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
         window_seconds=float(window_seconds), dataset_dir=dataset_dir,
         synthetic=synthetic, alpha_grid=tuple(alpha_grid), network=network,
         training=training, discretization=discretization)
+
+
+def prepare_experiment(cfg: ExperimentConfig) -> tuple[KnowledgeModel, dict, NetworkSpec]:
+    """Rules, encoded users and network spec of an experiment, or an ExperimentError."""
+    # looked up at call time, so that perfbench's tracer sees these calls
+    from .data import encode_user_datasets, generate_synthetic, load_dataset
+    from .knowledge import load_knowledge
+
+    knowledge = load_knowledge(cfg.rules)
+    datasets = (generate_synthetic(knowledge, cfg.synthetic, cfg.discretization)
+                if cfg.synthetic is not None else load_dataset(cfg.dataset_dir))
+    encoded = encode_user_datasets(datasets, knowledge, cfg.window_seconds, cfg.discretization)
+    if not encoded:
+        raise ExperimentError(["dataset: no usable windows"])
+    first = next(iter(encoded.values()))
+    try:
+        spec = cfg.network.to_spec(*first.phone.shape[1:], *first.watch.shape[1:],
+                                   first.context.shape[1], len(first.activities))
+    except (TypeError, ValueError) as exc:
+        raise ExperimentError([f"network: {exc}"]) from None
+    return knowledge, encoded, spec

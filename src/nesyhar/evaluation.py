@@ -12,17 +12,17 @@ F1 = 0 and is flagged. The 90/10 train/validation split (``VAL_FRACTION``) is
 per-window within the training users. Within a (fold, fraction), strategies
 that train alike share one network: baseline and context_refinement do, and a
 semantic_loss strategy whose alpha is also an alpha-search candidate shares
-that candidate's network.
+that candidate's network. The checks on an experiment, each problem naming its
+config key, are ``grid_problems`` and the fold_k check of ``make_folds``.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,11 +32,14 @@ from .data import EncodedDataset, downsample_training
 from .knowledge import KnowledgeModel
 from .losses import LossConfig
 from .nn import NetworkSpec
+from .records import fits
 from .strategies import StrategyConfig, TrainConfig, TrainedModel, predict_many, train
 
 log = logging.getLogger(__name__)
 
 __all__ = [
+    "ExperimentError",
+    "grid_problems",
     "Fold",
     "FoldPlan",
     "ExperimentCell",
@@ -65,6 +68,47 @@ class FoldPlan:
     folds: tuple[Fold, ...]
 
 
+class ExperimentError(ValueError):
+    """Problems that keep an experiment from running, each naming its config key."""
+
+    def __init__(self, problems: list[str], source: str = "experiment"):
+        self.problems = problems
+        lines = "\n".join(f"  - {p}" for p in problems)
+        super().__init__(f"{source}: {len(problems)} config problem(s):\n{lines}")
+
+
+def grid_problems(strategies: Sequence[StrategyConfig], fractions: Sequence[float],
+                  repetitions: int, seeds: Sequence[int], alpha_grid: Sequence[int]) -> list[str]:
+    """The problems of a strategy x fraction x repetition grid (raw YAML values too),
+    each naming its config key: ``load_config`` lists them, ``run_experiment`` raises them."""
+    def all_fit(values, scalar: type) -> bool:
+        return isinstance(values, (list, tuple)) and all(fits(v, scalar) for v in values)
+
+    problems = []
+    if not (all_fit(fractions, float) and fractions and all(0 < f <= 1 for f in fractions)):
+        problems.append("fractions: must be a non-empty list of numbers in (0, 1]")
+        fractions = []
+    # results are keyed by label and fraction: a repeat would be pooled and reported twice
+    for name, values in (("strategies", [s.label for s in strategies]), ("fractions", fractions)):
+        repeated = sorted({str(v) for v in values if values.count(v) > 1})
+        if repeated:
+            problems.append(f"{name}: {', '.join(repeated)} listed more than once")
+    if not fits(repetitions, int) or repetitions < 1:
+        problems.append("repetitions: must be a positive integer")
+    if not all_fit(seeds, int) or not seeds:
+        problems.append("seeds: must be a non-empty list of integers")
+    elif fits(repetitions, int) and len(seeds) < repetitions:
+        problems.append(f"seeds: need at least one per repetition "
+                        f"({len(seeds)} given, {repetitions} repetitions)")
+    if not all_fit(alpha_grid, int) or any(a < 1 for a in alpha_grid):
+        problems.append("alpha_grid: must be a list of positive integers "
+                        "(the no-penalty comparison is the baseline strategy)")
+    elif not alpha_grid and (searching := [s.label for s in strategies if s.searches_alpha]):
+        problems.append(f"alpha_grid: empty, but {', '.join(searching)} needs a positive "
+                        "alpha or an alpha grid to search (alpha 0 trains plain cross-entropy)")
+    return problems
+
+
 def make_folds(users: Sequence[str], k: int, seed: int) -> FoldPlan:
     """Partition users into ceil(n/k) disjoint test groups of size k.
 
@@ -75,8 +119,8 @@ def make_folds(users: Sequence[str], k: int, seed: int) -> FoldPlan:
     if k < 1:
         raise ValueError("fold size k must be >= 1")
     if k >= len(order):
-        raise ValueError(f"fold size k={k} leaves no training users among the "
-                         f"{len(order)} available")
+        raise ExperimentError([f"fold_k: {k} leaves no training users among the "
+                               f"{len(order)} with usable windows"])
     np.random.default_rng(seed).shuffle(order)
     folds = []
     for start in range(0, len(order), k):
@@ -186,10 +230,6 @@ class ExperimentReport:
 VAL_FRACTION = 0.1
 
 
-def _cell_seed(base_seed: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=base_seed, spawn_key=tuple(key))
-
-
 @dataclass(frozen=True)
 class _FoldJob:
     """Everything one (repetition, fold) worker needs; must be picklable."""
@@ -218,7 +258,7 @@ def _trainer(train_data: EncodedDataset, val_data: EncodedDataset, spec: Network
         if signature not in models:
             models[signature] = train(train_data, val_data, strategy, spec, seed=seed,
                                       knowledge=knowledge, cfg=train_cfg)
-        return dataclasses.replace(models[signature], kind=strategy.kind)
+        return replace(models[signature], kind=strategy.kind)
     return model_for
 
 
@@ -227,7 +267,8 @@ def _run_fold_job(job: _FoldJob) -> list[ExperimentCell]:
     returned in (fraction, strategy) order."""
     k = len(job.pool.activities)
     split_seed, sample_seed, train_seed = (
-        int(_cell_seed(job.seed, job.fold_idx, i).generate_state(1)[0]) for i in range(3))
+        int(np.random.SeedSequence(job.seed, spawn_key=(job.fold_idx, i)).generate_state(1)[0])
+        for i in range(3))
     train_full, val_data = split_train_validation(job.pool, VAL_FRACTION, seed=split_seed)
     cells: list[ExperimentCell] = []
     for f_idx, fraction in enumerate(job.fractions):
@@ -337,31 +378,21 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
     regardless of the worker count: (repetition, fold) jobs are independent
     and their seeding does not depend on scheduling. A failing cell is
     recorded with its error and the run continues; so are all the cells of a
-    job whose worker process dies. Strategies with identical
-    training signatures share one trained model per (fold, fraction).
+    job whose worker process dies. Strategies with identical training
+    signatures share one model per (fold, fraction). A bad grid or fold_k is an
+    ExperimentError raised before any training.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if len(seeds) < repetitions:
-        raise ValueError(f"need at least {repetitions} seeds, got {len(seeds)}")
+    problems = grid_problems(strategies, fractions, repetitions, seeds, alpha_grid)
+    if problems:
+        raise ExperimentError(problems)
     if any(s.needs_knowledge_for_training or s.needs_knowledge_for_inference
            for s in strategies) and knowledge is None:
         raise ValueError("knowledge model required by at least one strategy")
-    if any(s.searches_alpha for s in strategies) and (
-            not alpha_grid or any(a < 1 for a in alpha_grid)):
-        raise ValueError("semantic_loss with alpha 0 needs a non-empty alpha grid "
-                         f"of positive integers, got {tuple(alpha_grid)}")
-    labels = [s.label for s in strategies]
-    # results are keyed by label and fraction: a repeat would be pooled and reported twice
-    for name, values in (("strategies", labels), ("fractions", list(fractions))):
-        repeated = sorted({str(v) for v in values if values.count(v) > 1})
-        if repeated:
-            raise ValueError(f"{name}: {', '.join(repeated)} listed more than once")
 
     plan = make_folds(sorted(encoded_by_user), fold_k, fold_seed)
     report = ExperimentReport(
-        activities=next(iter(encoded_by_user.values())).activities,
-        fractions=tuple(fractions), strategies=tuple(labels), repetitions=repetitions)
+        activities=next(iter(encoded_by_user.values())).activities, fractions=tuple(fractions),
+        strategies=tuple(s.label for s in strategies), repetitions=repetitions)
 
     fold_data = []      # (pool, test) per fold, shared by every repetition
     for fold in plan.folds:

@@ -23,14 +23,9 @@ import pytest
 import yaml
 
 from nesyhar.cli import main as cli_main
-from nesyhar.config import load_config
+from nesyhar.config import load_config, prepare_experiment
 from nesyhar.context import DiscretizationConfig
-from nesyhar.data import (
-    EncodedDataset,
-    SyntheticConfig,
-    encode_user_datasets,
-    generate_synthetic,
-)
+from nesyhar.data import EncodedDataset, SyntheticConfig, generate_synthetic
 from nesyhar.evaluation import (
     confidence_interval,
     macro_f1,
@@ -212,19 +207,10 @@ def test_criterion_6_reference_experiment_trends(tmp_path):
     assert cfg.repetitions == 5
     assert sorted(cfg.fractions) == [0.1, 1.0]
 
-    model = load_knowledge(cfg.rules)
+    started = time.monotonic()
+    model, encoded, spec = prepare_experiment(cfg)
     assert model.num_activities == 5
     assert len(model.vocabulary.dimensions) == 4
-
-    started = time.monotonic()
-    datasets = generate_synthetic(model, cfg.synthetic, cfg.discretization)
-    encoded = encode_user_datasets(datasets, model, cfg.window_seconds,
-                                   cfg.discretization)
-    first = next(iter(encoded.values()))
-    spec = cfg.network.to_spec(
-        phone_channels=first.phone.shape[1], phone_length=first.phone.shape[2],
-        watch_channels=first.watch.shape[1], watch_length=first.watch.shape[2],
-        context_size=first.context.shape[1], classes=len(first.activities))
     workers = int(os.environ.get("NESYHAR_THREADS", "2"))
     report = run_experiment(
         encoded, cfg.strategies, cfg.fractions, cfg.repetitions, cfg.fold_k,

@@ -63,6 +63,16 @@ MALFORMED = [
      "strategies: baseline listed more than once"),
     ("fractions_repeated", {"fractions": [1.0, 1.0]}, "fractions: 1.0 listed more than once"),
     ("window_seconds_bool", {"window_seconds": True}, "window_seconds: must be a positive"),
+    # a path is a non-empty string: null used to name a file or directory 'None',
+    # and "" the working directory
+    ("output_dir_null", {"output_dir": None}, "output_dir: required, as a non-empty path"),
+    ("output_dir_empty", {"output_dir": ""}, "output_dir: required, as a non-empty path"),
+    ("rules_null", {"rules": None}, "rules: required, as a non-empty path"),
+    ("rules_empty", {"rules": ""}, "rules: required, as a non-empty path"),
+    ("dataset_directory_null", {"dataset": {"directory": None}},
+     "dataset.directory: required, as a non-empty path"),
+    ("dataset_directory_empty", {"dataset": {"directory": ""}},
+     "dataset.directory: required, as a non-empty path"),
     # values only the generated data can refute
     ("network_pool_zero", {"network.pool": 0}, "network: phone: pool size must be >= 1"),
     ("network_filters_not_a_list", {"network.phone_filters": 3},

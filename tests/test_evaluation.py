@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import make_encoded
 from nesyhar import evaluation
 from nesyhar.cli import main as cli_main
 from nesyhar.evaluation import (
+    ExperimentError,
     confidence_interval,
     confusion_matrix,
     format_report_table,
@@ -303,6 +305,52 @@ def test_run_experiment_rejects_repeated_strategies_and_fractions(
         run_experiment(
             encoded_by_user, strategies, fractions=fractions, repetitions=1, fold_k=1,
             seeds=[0], spec=tiny_net_spec, knowledge=tiny_model, train_cfg=FAST)
+
+
+SEARCHING = [{"kind": "baseline"}, {"kind": "semantic_loss", "semantic_type": "All"}]
+
+# One wording per grid check, from a config and from the API alike: each case
+# is (config overrides, fragment), its strategies written as in YAML
+GRID_CASES = {
+    "strategy_repeated": ({"strategies": [{"kind": "baseline"}] * 2},
+                          "strategies: baseline listed more than once"),
+    "fraction_repeated": ({"fractions": [0.5, 1.0, 0.5]}, "fractions: 0.5 listed more than once"),
+    "fraction_above_one": ({"fractions": [1.0, 1.5]},
+                           "fractions: must be a non-empty list of numbers in (0, 1]"),
+    "repetitions_zero": ({"repetitions": 0}, "repetitions: must be a positive integer"),
+    "seeds_short": ({"repetitions": 3, "seeds": [1, 2]},
+                    "seeds: need at least one per repetition (2 given, 3 repetitions)"),
+    "alpha_grid_below_one": ({"strategies": SEARCHING, "alpha_grid": [0, 2]},
+                             "alpha_grid: must be a list of positive integers"),
+    "alpha_grid_empty": ({"strategies": SEARCHING, "alpha_grid": []},
+                         "alpha_grid: empty, but semantic_loss[All,a=grid] needs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_problems_read_alike_from_run_and_run_experiment(
+        tmp_path, capsys, monkeypatch, tiny_model, tiny_net_spec, encoded_by_user, case):
+    overrides, fragment = GRID_CASES[case]
+    cfg = yaml.safe_load(Path("configs/quick.yaml").read_text())
+    cfg.update(output_dir=str(tmp_path / "out"), **overrides)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "1 config problem(s)" in err and fragment in err
+    assert not (tmp_path / "out").exists()
+
+    # the API rejects the same grid before it trains anything
+    calls = []
+    monkeypatch.setattr(evaluation, "train", lambda *args, **kwargs: calls.append(args))
+    kwargs = {"strategies": [{"kind": "baseline"}], "fractions": [1.0], "repetitions": 1,
+              "seeds": [0], "alpha_grid": [], **overrides}
+    kwargs["strategies"] = [StrategyConfig(s["kind"], LossConfig(s.get("semantic_type", "none")))
+                            for s in kwargs["strategies"]]
+    with pytest.raises(ExperimentError, match=re.escape(fragment)):
+        run_experiment(encoded_by_user, fold_k=1, spec=tiny_net_spec, knowledge=tiny_model,
+                       train_cfg=FAST, **kwargs)
+    assert calls == []
 
 
 def test_grid_search_alpha_tie_breaks_low(tiny_model, tiny_net_spec, encoded_by_user):
