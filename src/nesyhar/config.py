@@ -1,8 +1,9 @@
 """Experiment configuration: one YAML file holds every knob of a run.
 
 Validation is exhaustive: all problems in a config are collected and reported
-together before aborting, so a config can be fixed in one pass. The grid's checks
-are ``evaluation.grid_problems``; ``prepare_experiment`` makes a run's data.
+together before aborting, so a config can be fixed in one pass. Each check sits
+where its value is read: ``evaluation.grid_problems`` for the grid, seeds and
+folds, ``StrategyConfig`` for a strategy; ``prepare_experiment`` makes the data.
 """
 
 from __future__ import annotations
@@ -111,9 +112,6 @@ def _parse_strategies(raw: Any, errors: list[str]) -> list[StrategyConfig]:
             errors.append(f"{where}: each strategy needs a 'kind'")
             continue
         loss = {key: value for key, value in entry.items() if key != "kind"}
-        if entry["kind"] != "semantic_loss" and loss.keys() & {"semantic_type", "alpha"}:
-            errors.append(f"{where}: semantic_type/alpha only apply to semantic_loss")
-            continue
         try:
             strategies.append(StrategyConfig(entry["kind"], from_mapping(LossConfig, loss)))
         except (TypeError, ValueError) as exc:
@@ -166,14 +164,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     repetitions = raw.get("repetitions", 5)
     seeds = raw.get("seeds")
     alpha_grid = raw.get("alpha_grid", list(DEFAULT_ALPHA_GRID))
-    errors += grid_problems(strategies, fractions, repetitions, seeds, alpha_grid)
-
     fold_k = raw.get("fold_k", 1)
-    if not fits(fold_k, int) or fold_k < 1:
-        errors.append("fold_k: must be a positive integer")
     fold_seed = raw.get("fold_seed", 0)
-    if not fits(fold_seed, int):
-        errors.append("fold_seed: must be an integer")
+    errors += grid_problems(strategies, fractions, repetitions, seeds, alpha_grid,
+                            fold_k, fold_seed)
 
     network = _section("network", NetworkConfig, raw.get("network", {}), errors)
     training = _section("training", TrainConfig, raw.get("training", {}), errors,

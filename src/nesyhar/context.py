@@ -85,7 +85,8 @@ class DiscretizationConfig:
     speed_thresholds are the null/low, low/medium and medium/high boundaries in
     m/s (finite, above 0 and increasing, so each class is reachable);
     height_epsilon is the finite barometric dead band in hPa below which a
-    window counts as height_variation=null.
+    window counts as height_variation=null. Provider strings are looked up
+    stripped and lower-cased, so place_map and weather_map keys are too.
     """
 
     speed_thresholds: tuple[float, ...] = (0.1, 2.0, 7.0)
@@ -104,6 +105,10 @@ class DiscretizationConfig:
         if not 0 < self.height_epsilon < math.inf:
             raise ValueError(f"height_epsilon must be positive and finite, got "
                              f"{self.height_epsilon}")
+        for name in ("place_map", "weather_map"):
+            if bad := [key for key in getattr(self, name) if key != key.strip().lower()]:
+                raise ValueError(f"{name} keys must be lower-case with no outer spaces, "
+                                 f"got {bad[0]!r}")
 
     def speed_class(self, speed: float) -> str:
         for boundary, name in zip(self.speed_thresholds, SPEED_CLASSES):

@@ -303,6 +303,8 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.users < 1 or self.windows_per_user < 1:
             raise ValueError("users and windows_per_user must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.violation_rate <= 1.0:
             raise ValueError("violation_rate must be in [0, 1]")
         if not 0.0 <= self.confusability <= 1.0:

@@ -12,8 +12,8 @@ F1 = 0 and is flagged. The 90/10 train/validation split (``VAL_FRACTION``) is
 per-window within the training users. Within a (fold, fraction), strategies
 that train alike share one network: baseline and context_refinement do, and a
 semantic_loss strategy whose alpha is also an alpha-search candidate shares
-that candidate's network. The checks on an experiment, each problem naming its
-config key, are ``grid_problems`` and the fold_k check of ``make_folds``.
+that candidate's network. The checks on an experiment, each naming its config
+key, are ``grid_problems`` and the fold_k-vs-users check of ``make_folds``.
 """
 
 from __future__ import annotations
@@ -77,10 +77,24 @@ class ExperimentError(ValueError):
         super().__init__(f"{source}: {len(problems)} config problem(s):\n{lines}")
 
 
+def _fold_problems(fold_k: int, fold_seed: int, users: int | None = None) -> list[str]:
+    """Checks on fold_k and fold_seed; given the user count, that fold_k leaves training users."""
+    problems = []
+    if not fits(fold_k, int) or fold_k < 1:
+        problems.append("fold_k: must be a positive integer")
+    elif users is not None and fold_k >= users:
+        problems.append(f"fold_k: {fold_k} leaves no training users among the "
+                        f"{users} with usable windows")
+    if not fits(fold_seed, int) or fold_seed < 0:
+        problems.append("fold_seed: must be an integer >= 0")
+    return problems
+
+
 def grid_problems(strategies: Sequence[StrategyConfig], fractions: Sequence[float],
-                  repetitions: int, seeds: Sequence[int], alpha_grid: Sequence[int]) -> list[str]:
-    """The problems of a strategy x fraction x repetition grid (raw YAML values too),
-    each naming its config key: ``load_config`` lists them, ``run_experiment`` raises them."""
+                  repetitions: int, seeds: Sequence[int], alpha_grid: Sequence[int],
+                  fold_k: int, fold_seed: int) -> list[str]:
+    """The problems of a strategy x fraction x repetition x fold grid (raw YAML values
+    too), each naming its config key: ``load_config`` lists them, ``run_experiment`` raises."""
     def all_fit(values, scalar: type) -> bool:
         return isinstance(values, (list, tuple)) and all(fits(v, scalar) for v in values)
 
@@ -95,8 +109,8 @@ def grid_problems(strategies: Sequence[StrategyConfig], fractions: Sequence[floa
             problems.append(f"{name}: {', '.join(repeated)} listed more than once")
     if not fits(repetitions, int) or repetitions < 1:
         problems.append("repetitions: must be a positive integer")
-    if not all_fit(seeds, int) or not seeds:
-        problems.append("seeds: must be a non-empty list of integers")
+    if not all_fit(seeds, int) or not seeds or min(seeds) < 0:
+        problems.append("seeds: must be a non-empty list of integers >= 0")
     elif fits(repetitions, int) and len(seeds) < repetitions:
         problems.append(f"seeds: need at least one per repetition "
                         f"({len(seeds)} given, {repetitions} repetitions)")
@@ -106,7 +120,7 @@ def grid_problems(strategies: Sequence[StrategyConfig], fractions: Sequence[floa
     elif not alpha_grid and (searching := [s.label for s in strategies if s.searches_alpha]):
         problems.append(f"alpha_grid: empty, but {', '.join(searching)} needs a positive "
                         "alpha or an alpha grid to search (alpha 0 trains plain cross-entropy)")
-    return problems
+    return problems + _fold_problems(fold_k, fold_seed)
 
 
 def make_folds(users: Sequence[str], k: int, seed: int) -> FoldPlan:
@@ -116,11 +130,9 @@ def make_folds(users: Sequence[str], k: int, seed: int) -> FoldPlan:
     smaller); the grouping is a seeded shuffle, deterministic per seed.
     """
     order = list(users)
-    if k < 1:
-        raise ValueError("fold size k must be >= 1")
-    if k >= len(order):
-        raise ExperimentError([f"fold_k: {k} leaves no training users among the "
-                               f"{len(order)} with usable windows"])
+    problems = _fold_problems(k, seed, len(order))
+    if problems:
+        raise ExperimentError(problems)
     np.random.default_rng(seed).shuffle(order)
     folds = []
     for start in range(0, len(order), k):
@@ -382,7 +394,8 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
     signatures share one model per (fold, fraction). A bad grid or fold_k is an
     ExperimentError raised before any training.
     """
-    problems = grid_problems(strategies, fractions, repetitions, seeds, alpha_grid)
+    problems = grid_problems(strategies, fractions, repetitions, seeds, alpha_grid,
+                             fold_k, fold_seed)
     if problems:
         raise ExperimentError(problems)
     if any(s.needs_knowledge_for_training or s.needs_knowledge_for_inference

@@ -60,12 +60,10 @@ class LossConfig:
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
 
-
-def _as_mask(consistent, shape: tuple[int, ...]) -> np.ndarray:
-    mask = np.asarray(consistent, dtype=bool)
-    if mask.shape != shape:
-        raise ValueError(f"consistency mask has shape {mask.shape}, expected {shape}")
-    return mask
+    @property
+    def needs_masks(self) -> bool:
+        """A penalty with a positive weight: the loss reads the consistency masks."""
+        return self.semantic_type != "none" and self.alpha > 0.0
 
 
 def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +122,11 @@ def combined_loss_batch(probs: np.ndarray, labels: np.ndarray, consistent,
     n, k = probs.shape
     ce, grad = _cross_entropy(probs, np.asarray(labels))
     value = ce.sum()
-    if cfg.semantic_type != "none" and cfg.alpha > 0.0:
-        penalty, penalty_grad = PENALTIES[cfg.semantic_type](probs, _as_mask(consistent, (n, k)))
+    if cfg.needs_masks:
+        mask = np.asarray(consistent, dtype=bool)
+        if mask.shape != (n, k):
+            raise ValueError(f"consistency mask has shape {mask.shape}, expected {(n, k)}")
+        penalty, penalty_grad = PENALTIES[cfg.semantic_type](probs, mask)
         value += cfg.alpha * penalty.sum()
         grad += cfg.alpha * penalty_grad
     return float(value) / n, grad / n

@@ -11,22 +11,25 @@ for context, dropout 0.1, and a dense 256 trunk.
 
 Everything is plain numpy in double precision. Each :class:`NetworkSpec` is
 compiled once (cached per spec) into a plan: the parameter layout and the conv
-blocks of each branch, whose buffers per batch size are views into one scratch
-block that every pass reuses. The parameters are one flat float64 vector whose
-named views form a read-only mapping (:class:`Parameters`), so Adam updates and
-training copies the whole set at once. Inside an inertial branch the windows
-of a batch lie end to end, activations shaped (channels, batch * length): a
-convolution is one matrix product over a column matrix built from ``kernel``
-shifted copies of its input (the outputs that straddle two windows are
-computed and ignored), and max pooling is an elementwise maximum over the
-pool's slices. Forward passes in train mode return a trace; :func:`backward`
-replays it to produce exact reverse-mode gradients for every parameter (and
-optionally the inputs), which the finite-difference utilities at the bottom
-verify. Backward mirrors that layout: a convolution's input gradient is one
-matrix product into a column matrix with zero pads on both sides, then one
-reduction over a strided view of its ``kernel`` shifts, added in ascending
-order. Infer-mode passes keep no trace and run large batches in blocks of
-``INFER_BLOCK`` windows, so their memory does not grow with the batch.
+blocks of each branch, whose lengths are the spec's ``stage_lengths``. A
+block's buffers per batch size are views into one scratch block that every
+pass reuses; the layout measures itself (a build with no memory behind it
+gives the size the block must have), so no size is written out twice. The
+parameters are one flat float64 vector whose named views form a read-only
+mapping (:class:`Parameters`), so Adam updates and training copies the whole
+set at once. Inside an inertial branch the windows of a batch lie end to end,
+activations shaped (channels, batch * length): a convolution is one matrix
+product over a column matrix built from ``kernel`` shifted copies of its input
+(the outputs that straddle two windows are computed and ignored), and max
+pooling is an elementwise maximum over the pool's slices. Forward passes in
+train mode return a trace; :func:`backward` replays it to produce exact
+reverse-mode gradients for every parameter (and optionally the inputs), which
+the finite-difference utilities at the bottom verify. Backward mirrors that
+layout: a convolution's input gradient is one matrix product into a column
+matrix with zero pads on both sides, then one reduction over a strided view of
+its ``kernel`` shifts, added in ascending order. Infer-mode passes keep no
+trace and run large batches in blocks of ``INFER_BLOCK`` windows, so their
+memory does not grow with the batch.
 
 Convolutions are valid (no padding), stride 1, ReLU after every convolution
 and dense layer except the output. Max pooling uses stride == pool size and
@@ -245,19 +248,16 @@ def parameter_count(spec: NetworkSpec) -> int:
 @dataclass(frozen=True)
 class _Conv:
     """One conv block of a branch and the pool after it (pool 0: the branch's
-    global max pool)."""
+    global max pool); its lengths are per window, from ``stage_lengths``."""
 
     w: str
     b: str
     channels: int
     filters: int
     kernel: int
-    length: int          # per-window input length
+    length: int          # input length
+    out: int             # output length, pooled unless pool is 0
     pool: int
-
-    @property
-    def out(self) -> int:
-        return self.length - self.kernel + 1
 
 
 class _ConvBuffers:
@@ -287,9 +287,8 @@ class _ConvBuffers:
         self.y_valid = self.y[:, :self.span]
         slots = self.y.reshape(f, n, length)
         if conv.pool:
-            groups = conv.out // conv.pool
-            self.tiles = slots[:, :, :groups * conv.pool].reshape(f, n, groups, conv.pool)
-            self.pooled = None      # the next block's x, shaped (f, n, groups)
+            self.tiles = slots[:, :, :conv.out * conv.pool].reshape(f, n, conv.out, conv.pool)
+            self.pooled = None      # the next block's x, shaped (f, n, out)
         else:
             self.outputs = slots[:, :, :conv.out]
             self.slot_start = (np.arange(f)[:, None] * (n * length)
@@ -317,29 +316,24 @@ class _ConvBuffers:
                                  (k * width * step, (width - 1) * step, step),
                                  writeable=False)
 
-    @staticmethod
-    def size(conv: _Conv, n: int) -> tuple[int, int]:
-        """Elements of x, cols and y, and of their gradients (dcols padded)."""
-        c, k = conv.channels, conv.kernel
-        span = n * conv.length - k + 1
-        forward = c * n * conv.length + c * k * span + conv.filters * n * conv.length
-        return forward, forward + 2 * c * k * (k - 1)
-
 
 class _Buffers:
     """The scratch arrays of one plan for one batch size: views into
     ``memory``, the forward pass's arrays first, so inference touches only
     the front of it. The branches' gradient arrays share one region, because
-    backward finishes one branch before it starts the next."""
+    backward finishes one branch before it starts the next. ``size`` counts
+    the elements the layout reaches; with memory None, every array is a fresh
+    ``np.empty``, so a build only measures."""
 
-    def __init__(self, plan: "_Plan", n: int, memory: np.ndarray):
-        offset = 0
+    def __init__(self, plan: "_Plan", n: int, memory: np.ndarray | None):
+        offset = self.size = 0
 
         def take(*shape):
             nonlocal offset
-            size = math.prod(shape)
-            array = memory[offset:offset + size].reshape(shape)
-            offset += size
+            end = offset + math.prod(shape)
+            array = np.empty(shape) if memory is None else memory[offset:end].reshape(shape)
+            offset = end
+            self.size = max(self.size, end)
             return array
 
         self.branches = [[_ConvBuffers(conv, n, take) for conv in convs]
@@ -351,13 +345,6 @@ class _Buffers:
                 block.pooled = following.x_windows
             for block in blocks:
                 block.take_gradients(take)
-
-    @staticmethod
-    def size(plan: "_Plan", n: int) -> int:
-        sizes = [[_ConvBuffers.size(conv, n) for conv in convs]
-                 for convs in plan.branches.values()]
-        return (sum(forward for blocks in sizes for forward, _ in blocks)
-                + max(sum(gradients for _, gradients in blocks) for blocks in sizes))
 
 
 class _Scratch:
@@ -381,7 +368,7 @@ class _Scratch:
         key = (plan, n)
         bufs = self._sets.pop(key, None)
         if bufs is None:
-            size = _Buffers.size(plan, n)
+            size = _Buffers(plan, n, None).size
             if size > self.memory.size:
                 self.memory = np.empty(size)
                 self._sets.clear()
@@ -406,14 +393,13 @@ class _Plan:
         self.size = sum(math.prod(shape) for _, shape in self.layout)
         self.branches = {}
         for name, branch in (("phone", spec.phone), ("watch", spec.watch)):
-            convs, channels, length = [], branch.channels, branch.length
-            for i, (filters, kernel) in enumerate(zip(branch.filters, branch.kernels)):
-                last = i == len(branch.filters) - 1
-                conv = _Conv(f"{name}.conv{i}.w", f"{name}.conv{i}.b", channels, filters,
-                             kernel, length, 0 if last else branch.pool)
-                convs.append(conv)
-                channels, length = filters, conv.out // branch.pool
-            self.branches[name] = tuple(convs)
+            channels = (branch.channels, *branch.filters)
+            lengths = (branch.length, *branch.stage_lengths(name))
+            last = len(branch.filters) - 1
+            self.branches[name] = tuple(
+                _Conv(f"{name}.conv{i}.w", f"{name}.conv{i}.b", channels[i], filters, kernel,
+                      lengths[i], lengths[i + 1], 0 if i == last else branch.pool)
+                for i, (filters, kernel) in enumerate(zip(branch.filters, branch.kernels)))
         # the columns of each part of the trunk's input: phone, watch, context
         # and, with infusion, the consistency vector
         widths = [spec.phone.dense, spec.watch.dense, spec.context_dense]

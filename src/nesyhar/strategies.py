@@ -64,7 +64,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Which strategy to run and, for semantic_loss, its penalty configuration."""
+    """Which strategy to run and its loss, ``LossConfig()`` unless kind is semantic_loss."""
 
     kind: str
     loss: LossConfig = LossConfig()
@@ -75,6 +75,8 @@ class StrategyConfig:
                              f"got {self.kind!r}")
         if self.kind == "semantic_loss" and self.loss.semantic_type == "none":
             raise ValueError("semantic_loss strategy needs a semantic loss type")
+        if self.kind != "semantic_loss" and self.loss != LossConfig():
+            raise ValueError("semantic_type/alpha only apply to semantic_loss")
 
     @property
     def needs_knowledge_for_training(self) -> bool:
@@ -91,10 +93,6 @@ class StrategyConfig:
         return self.kind == "semantic_loss" and self.loss.alpha == 0.0
 
     @property
-    def training_loss(self) -> LossConfig:
-        return self.loss if self.kind == "semantic_loss" else LossConfig()
-
-    @property
     def uses_infusion(self) -> bool:
         return self.kind == "symbolic_features"
 
@@ -108,8 +106,7 @@ class StrategyConfig:
     def training_signature(self) -> tuple:
         """Strategies with equal signatures train identical networks
         (baseline and context_refinement differ only at inference)."""
-        loss = self.training_loss
-        return (loss.semantic_type, loss.alpha, self.uses_infusion)
+        return (self.loss.semantic_type, self.loss.alpha, self.uses_infusion)
 
 
 @dataclass(frozen=True)
@@ -214,10 +211,8 @@ def train(train_data: EncodedDataset, val_data: EncodedDataset, strategy: Strate
 
     if strategy.uses_infusion:
         spec = replace(spec, infusion=True)
-    loss_cfg = strategy.training_loss
 
-    needs_masks = strategy.uses_infusion or (
-        loss_cfg.semantic_type != "none" and loss_cfg.alpha > 0.0)
+    needs_masks = strategy.uses_infusion or strategy.loss.needs_masks
     train_masks = consistency_masks(knowledge, train_data) if needs_masks else None
     val_masks = consistency_masks(knowledge, val_data) if needs_masks else None
     train_infusion = train_masks if strategy.uses_infusion else None
@@ -236,7 +231,7 @@ def train(train_data: EncodedDataset, val_data: EncodedDataset, strategy: Strate
     def validation_loss() -> float:
         probs, _ = forward(params, spec, val_data.phone, val_data.watch, val_data.context,
                            infusion=val_infusion, mode="infer")
-        value, _ = combined_loss_batch(probs, val_data.labels, val_masks, loss_cfg)
+        value, _ = combined_loss_batch(probs, val_data.labels, val_masks, strategy.loss)
         return value
 
     for epoch in range(1, cfg.epochs + 1):
@@ -250,7 +245,7 @@ def train(train_data: EncodedDataset, val_data: EncodedDataset, strategy: Strate
                 mode="train", rng=rng)
             value, grad_probs = combined_loss_batch(
                 probs, train_data.labels[idx],
-                None if train_masks is None else train_masks[idx], loss_cfg)
+                None if train_masks is None else train_masks[idx], strategy.loss)
             if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss {value} at epoch {epoch}, step {steps}")
@@ -268,7 +263,7 @@ def train(train_data: EncodedDataset, val_data: EncodedDataset, strategy: Strate
     return TrainedModel(
         kind=strategy.kind, spec=spec, params=best_params,
         activities=train_data.activities, vocabulary=train_data.vocabulary,
-        loss=loss_cfg, window_seconds=window_seconds, discretization=discretization,
+        loss=strategy.loss, window_seconds=window_seconds, discretization=discretization,
         meta={"epochs_run": epoch, "steps_run": steps, "best_epoch": best_epoch,
               "best_val_loss": stopper.best, "seed": seed},
     )

@@ -54,6 +54,17 @@ MALFORMED = [
     ("repetitions_bool", {"repetitions": True}, "repetitions: must be a positive integer"),
     ("fold_k_bool", {"fold_k": True}, "fold_k: must be a positive integer"),
     ("fold_seed_bool", {"fold_seed": False}, "fold_seed: must be an integer"),
+    # numpy's generators take no negative seed
+    ("fold_seed_negative", {"fold_seed": -1}, "fold_seed: must be an integer"),
+    ("seeds_negative", {"seeds": [-11, 12]}, "seeds: must be a non-empty list of integers"),
+    ("synthetic_seed_negative", {"dataset.synthetic.seed": -7},
+     "dataset.synthetic: seed must be >= 0, got -7"),
+    # only semantic_loss trains with a penalty; the others used to drop it
+    ("baseline_alpha", {"strategies": [{"kind": "baseline", "alpha": 2}]},
+     "strategies[0]: semantic_type/alpha only apply to semantic_loss"),
+    # provider strings are looked up stripped and lower-cased: 'House' never matched
+    ("discretization_place_map_capital", {"discretization": {"place_map": {"House": "home"}}},
+     "discretization: place_map keys must be lower-case with no outer spaces, got 'House'"),
     ("alpha_grid_bool", {"strategies": SEARCHING, "alpha_grid": [True]},
      "alpha_grid: must be a list of positive integers"),
     ("fractions_bool", {"fractions": [True]}, "fractions: must be a non-empty list"),

@@ -61,7 +61,7 @@ def test_folds_deterministic_and_validated():
         make_folds(users, 4, seed=0)
     with pytest.raises(ValueError, match="leaves no training users"):
         make_folds(users, 3, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ExperimentError, match="fold_k: must be a positive integer"):
         make_folds(users, 0, seed=0)
 
 
@@ -324,6 +324,9 @@ GRID_CASES = {
                              "alpha_grid: must be a list of positive integers"),
     "alpha_grid_empty": ({"strategies": SEARCHING, "alpha_grid": []},
                          "alpha_grid: empty, but semantic_loss[All,a=grid] needs"),
+    "fold_k_zero": ({"fold_k": 0}, "fold_k: must be a positive integer"),
+    "fold_seed_negative": ({"fold_seed": -1}, "fold_seed: must be an integer >= 0"),
+    "seed_negative": ({"seeds": [-11, 12]}, "seeds: must be a non-empty list of integers >= 0"),
 }
 
 
@@ -344,11 +347,11 @@ def test_grid_problems_read_alike_from_run_and_run_experiment(
     calls = []
     monkeypatch.setattr(evaluation, "train", lambda *args, **kwargs: calls.append(args))
     kwargs = {"strategies": [{"kind": "baseline"}], "fractions": [1.0], "repetitions": 1,
-              "seeds": [0], "alpha_grid": [], **overrides}
+              "seeds": [0], "alpha_grid": [], "fold_k": 1, "fold_seed": 0, **overrides}
     kwargs["strategies"] = [StrategyConfig(s["kind"], LossConfig(s.get("semantic_type", "none")))
                             for s in kwargs["strategies"]]
     with pytest.raises(ExperimentError, match=re.escape(fragment)):
-        run_experiment(encoded_by_user, fold_k=1, spec=tiny_net_spec, knowledge=tiny_model,
+        run_experiment(encoded_by_user, spec=tiny_net_spec, knowledge=tiny_model,
                        train_cfg=FAST, **kwargs)
     assert calls == []
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nesyhar import nn
 from nesyhar.config import NetworkConfig
 from nesyhar.losses import LossConfig, combined_loss_batch
 from nesyhar.nn import (
@@ -664,6 +665,31 @@ def trajectory_digest(steps=20):
                 adam_step(params, grads, state, lr=0.01)
             digest.update(params.flat.tobytes())
     return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(TRAJECTORY_SPECS))
+def test_buffers_fit_a_block_of_exactly_their_measured_size(monkeypatch, name):
+    # the layout measures itself: a block of that size must hold every
+    # buffer, and the bytes must not depend on the memory around them
+    spec = TRAJECTORY_SPECS[name]
+    plan = nn._plan(spec)
+    params = build_network(spec, seed=4)
+
+    def run(n, mode, extra):
+        size = nn._Buffers(plan, min(n, INFER_BLOCK), None).size + extra
+        monkeypatch.setattr(nn, "_SCRATCH", nn._Scratch())
+        nn._SCRATCH.memory = np.full(size, np.nan)
+        probs, trace = forward(params, spec, *tiny_inputs(spec, n=n, seed=n), mode=mode,
+                               rng=np.random.default_rng(n))
+        results = [probs]
+        if trace is not None:
+            grads, input_grads = backward(trace, np.cos(probs), want_input_grads=True)
+            results += [grads.flat, *input_grads.values()]
+        assert nn._SCRATCH.memory.size == size      # the pass took no larger block
+        return b"".join(a.tobytes() for a in results)
+
+    for n, mode in ((1, "train"), (11, "train"), (32, "train"), (300, "infer")):
+        assert run(n, mode, 0) == run(n, mode, 1000)
 
 
 def test_training_trajectories_are_pinned_byte_for_byte():

@@ -98,6 +98,19 @@ def test_strategy_validation():
         StrategyConfig("context_refinement").training_signature()
 
 
+@pytest.mark.parametrize("kind, loss", [
+    ("baseline", LossConfig("All", 2.0)),
+    ("symbolic_features", LossConfig("-PP", 1.0)),
+    ("context_refinement", LossConfig("none", 3.0)),
+])
+def test_only_semantic_loss_takes_a_penalty(kind, loss):
+    # the other kinds train with cross-entropy alone; a penalty would be dropped
+    with pytest.raises(ValueError, match="semantic_type/alpha only apply to semantic_loss"):
+        StrategyConfig(kind, loss)
+    # an explicit default is the default
+    assert StrategyConfig(kind, LossConfig("none", 0.0)) == StrategyConfig(kind)
+
+
 # ---------------------------------------------------------------------------
 # Early stopping and the training protocol
 # ---------------------------------------------------------------------------
