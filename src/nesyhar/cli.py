@@ -61,15 +61,18 @@ def cmd_reason(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .config import load_config
-    from .data import generate_synthetic, write_dataset
+    from .config import ConfigError, load_config, synthesize
+    from .data import write_dataset
+    from .evaluation import ExperimentError
     from .knowledge import load_knowledge
 
     cfg = load_config(args.config)
     if cfg.synthetic is None:
         raise UsageError(f"{args.config}: dataset.synthetic section required for synth")
-    model = load_knowledge(cfg.rules)
-    datasets = generate_synthetic(model, cfg.synthetic, cfg.discretization)
+    try:
+        datasets = synthesize(cfg, load_knowledge(cfg.rules))
+    except ExperimentError as exc:
+        raise ConfigError(exc.problems, args.config) from None
     out = Path(args.out) if args.out else cfg.output_dir / "dataset"
     write_dataset(datasets, out)
     windows = sum(len(ds.annotations) for ds in datasets)
@@ -87,7 +90,7 @@ def cmd_run(args) -> int:
     if workers < 1:
         raise UsageError(f"NESYHAR_THREADS must be a positive integer, got {threads!r}")
     cfg = load_config(args.config)
-    try:  # what only the data can refute: usable windows, the network, fold_k
+    try:  # what only the data refutes: realizable rules, window shapes, the network, fold_k
         model, encoded, spec = prepare_experiment(cfg)
         report = run_experiment(
             encoded, cfg.strategies, cfg.fractions, cfg.repetitions, cfg.fold_k,

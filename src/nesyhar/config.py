@@ -15,7 +15,7 @@ from typing import Any, Mapping
 import yaml
 
 from .context import DiscretizationConfig
-from .data import SyntheticConfig
+from .data import SyntheticConfig, UnrealizableRulesError, UserDataset
 from .evaluation import ExperimentError, grid_problems
 from .knowledge import KnowledgeModel
 from .losses import LossConfig
@@ -23,7 +23,8 @@ from .nn import BranchSpec, NetworkSpec
 from .records import fits, from_mapping
 from .strategies import StrategyConfig, TrainConfig
 
-__all__ = ["ConfigError", "NetworkConfig", "ExperimentConfig", "load_config", "prepare_experiment"]
+__all__ = ["ConfigError", "NetworkConfig", "ExperimentConfig", "load_config", "synthesize",
+           "prepare_experiment"]
 
 DEFAULT_ALPHA_GRID = tuple(range(1, 31))
 
@@ -186,19 +187,39 @@ def load_config(path: str | Path) -> ExperimentConfig:
         training=training, discretization=discretization)
 
 
+def synthesize(cfg: ExperimentConfig, knowledge: KnowledgeModel) -> list[UserDataset]:
+    """The config's synthetic user datasets, or an ExperimentError naming ``rules``
+    when the generator cannot realize what the rules declare."""
+    from .data import generate_synthetic  # looked up at call time, for perfbench's tracer
+
+    try:
+        return generate_synthetic(knowledge, cfg.synthetic, cfg.discretization)
+    except UnrealizableRulesError as exc:
+        raise ExperimentError([f"rules: {exc}"]) from None
+
+
 def prepare_experiment(cfg: ExperimentConfig) -> tuple[KnowledgeModel, dict, NetworkSpec]:
     """Rules, encoded users and network spec of an experiment, or an ExperimentError."""
     # looked up at call time, so that perfbench's tracer sees these calls
-    from .data import encode_user_datasets, generate_synthetic, load_dataset
+    from .data import encode_user_datasets, load_dataset
     from .knowledge import load_knowledge
 
     knowledge = load_knowledge(cfg.rules)
-    datasets = (generate_synthetic(knowledge, cfg.synthetic, cfg.discretization)
-                if cfg.synthetic is not None else load_dataset(cfg.dataset_dir))
+    datasets = (synthesize(cfg, knowledge) if cfg.synthetic is not None
+                else load_dataset(cfg.dataset_dir))
     encoded = encode_user_datasets(datasets, knowledge, cfg.window_seconds, cfg.discretization)
     if not encoded:
         raise ExperimentError(["dataset: no usable windows"])
-    first = next(iter(encoded.values()))
+    (first_user, first), *rest = encoded.items()
+    problems = []   # the network is sized by the first user's windows
+    for user, ds in rest:
+        for stream in ("phone", "watch"):
+            want, got = getattr(first, stream).shape[1:], getattr(ds, stream).shape[1:]
+            if got != want:
+                problems.append(f"dataset.directory: user {user}'s {stream} windows have "
+                                f"shape {got}, but user {first_user}'s have {want}")
+    if problems:
+        raise ExperimentError(problems)
     try:
         spec = cfg.network.to_spec(*first.phone.shape[1:], *first.watch.shape[1:],
                                    first.context.shape[1], len(first.activities))

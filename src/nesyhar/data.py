@@ -65,6 +65,7 @@ __all__ = [
     "encode_windows",
     "encode_user_datasets",
     "SyntheticConfig",
+    "UnrealizableRulesError",
     "enumerate_realizable_states",
     "generate_synthetic",
     "downsample_training",
@@ -148,7 +149,6 @@ class EncodedDataset:
     watch: np.ndarray
     context: np.ndarray  # (n, vocabulary size)
     labels: np.ndarray   # (n,), -1 where unlabeled
-    users: tuple[str, ...]
     activities: tuple[str, ...]
     vocabulary: ContextVocabulary
 
@@ -163,7 +163,6 @@ class EncodedDataset:
         indices = np.asarray(indices, dtype=np.intp)
         return EncodedDataset(self.phone[indices], self.watch[indices],
                               self.context[indices], self.labels[indices],
-                              tuple(self.users[i] for i in indices),
                               self.activities, self.vocabulary)
 
     @classmethod
@@ -178,7 +177,6 @@ class EncodedDataset:
                    np.concatenate([p.watch for p in parts]),
                    np.concatenate([p.context for p in parts]),
                    np.concatenate([p.labels for p in parts]),
-                   tuple(itertools.chain.from_iterable(p.users for p in parts)),
                    first.activities, first.vocabulary)
 
 
@@ -252,7 +250,6 @@ def encode_windows(windows: Windows, vocab: ContextVocabulary,
         watch=windows.watch,
         context=vocab.encode_states(windows.states),
         labels=labels,
-        users=(windows.user,) * len(windows),
         activities=tuple(activities),
         vocabulary=vocab,
     )
@@ -319,6 +316,10 @@ class SyntheticConfig:
             raise ValueError("phone_channels and watch_channels must be >= 1")
 
 
+class UnrealizableRulesError(ValueError):
+    """Rules that declare a context the synthetic generator cannot produce."""
+
+
 def _raw_candidates(vocab: ContextVocabulary, cfg: DiscretizationConfig) -> list[list]:
     """Per field of :class:`RawContextRecord` after the timestamp, the raw value of
     each declared predicate that field can yield, in declaration order."""
@@ -372,8 +373,9 @@ def _realizable(vocab: ContextVocabulary,
                   for p in observed}
     for dim in vocab.dimensions:
         if dim.name not in observable:
-            raise ValueError(f"no realizable context state observes dimension {dim.name!r}; "
-                             "raw signals cannot express it")
+            raise UnrealizableRulesError(
+                f"no realizable context state observes dimension {dim.name!r}; "
+                "raw signals cannot express it")
 
     found = []
     for combination in itertools.product(*per_field):
@@ -394,8 +396,8 @@ def enumerate_realizable_states(vocab: ContextVocabulary,
     what :func:`aggregate_context` makes of each combination is realizable, so
     combinations raw signals cannot express (e.g. an indoor semantic place
     together with location_type=outdoor, or a declared value no threshold
-    derives) never appear. Raises ValueError when no state observes a declared
-    dimension.
+    derives) never appear. Raises UnrealizableRulesError, a ValueError, when no
+    state observes a declared dimension.
     """
     return list(_realizable(vocab, cfg))
 
@@ -464,7 +466,8 @@ def generate_synthetic(model: KnowledgeModel, cfg: SyntheticConfig,
     consistency = model.consistent_activities(rows)
     for i, name in enumerate(model.activity_names):
         if not consistency[:, i].any():
-            raise ValueError(f"activity {name!r} has no realizable consistent context state")
+            raise UnrealizableRulesError(
+                f"activity {name!r} has no realizable consistent context state")
 
     # per state and dimension, the number of values observed
     observed = rows @ (vocab.dimension_of[:, None] == np.arange(len(vocab.dimensions)))

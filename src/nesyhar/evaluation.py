@@ -220,15 +220,10 @@ class ExperimentCell:
 
 @dataclass
 class ExperimentReport:
-    activities: tuple[str, ...]
     fractions: tuple[float, ...]
     strategies: tuple[str, ...]
-    repetitions: int
     cells: list[ExperimentCell] = field(default_factory=list)
     rep_scores: dict = field(default_factory=dict)   # (strategy, fraction) -> list[float]
-
-    def mean_f1(self, strategy: str, fraction: float) -> float:
-        return float(np.mean(self.rep_scores[(strategy, fraction)]))
 
     def summary(self, strategy: str, fraction: float) -> tuple[list, float, float]:
         """The repetition scores, their mean and 95% CI half-width; one score
@@ -403,9 +398,8 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
         raise ValueError("knowledge model required by at least one strategy")
 
     plan = make_folds(sorted(encoded_by_user), fold_k, fold_seed)
-    report = ExperimentReport(
-        activities=next(iter(encoded_by_user.values())).activities, fractions=tuple(fractions),
-        strategies=tuple(s.label for s in strategies), repetitions=repetitions)
+    report = ExperimentReport(fractions=tuple(fractions),
+                              strategies=tuple(s.label for s in strategies))
 
     fold_data = []      # (pool, test) per fold, shared by every repetition
     for fold in plan.folds:

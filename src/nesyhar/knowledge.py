@@ -229,24 +229,15 @@ class Literal(Requirement):
     def literals(self):
         yield self.predicate
 
-    def __str__(self):
-        return str(self.predicate)
-
 
 @dataclass(frozen=True)
 class AllOf(Requirement):
     children: tuple[Requirement, ...]
 
-    def __str__(self):
-        return "(" + " AND ".join(map(str, self.children)) + ")"
-
 
 @dataclass(frozen=True)
 class AnyOf(Requirement):
     children: tuple[Requirement, ...]
-
-    def __str__(self):
-        return "(" + " OR ".join(map(str, self.children)) + ")"
 
 
 @dataclass(frozen=True)
@@ -273,6 +264,9 @@ class KnowledgeModel:
     _width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for i, name in enumerate(self.activity_names):
+            if name in self.activity_names[:i]:
+                raise ValueError(f"activity {name!r} listed more than once")
         for name in self.rules:
             if name not in self.activity_names:
                 raise ValueError(f"rule for unknown activity {name!r}")
@@ -289,6 +283,8 @@ class KnowledgeModel:
 
         def column(req: Requirement) -> int:
             if isinstance(req, Literal):
+                if req.predicate not in vocab:
+                    raise ValueError(f"rule literal {req.predicate} not in context vocabulary")
                 return vocab.index(req.predicate)
             return add(isinstance(req, AllOf), [column(c) for c in req.children])
 

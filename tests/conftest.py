@@ -61,7 +61,6 @@ def make_encoded(model, spec, n, seed, separable=True):
                 context[i, off + choice] = 1.0
     return EncodedDataset(
         phone=phone, watch=watch, context=context, labels=labels,
-        users=tuple(f"u{i % 3}" for i in range(n)),
         activities=model.activity_names, vocabulary=model.vocabulary)
 
 

@@ -221,11 +221,11 @@ def test_criterion_6_reference_experiment_trends(tmp_path):
     by_kind = {}
     for strategy, label in zip(cfg.strategies, report.strategies):
         by_kind[strategy.kind] = label
-    base10 = report.mean_f1(by_kind["baseline"], 0.1)
-    sem10 = report.mean_f1(by_kind["semantic_loss"], 0.1)
-    ref10 = report.mean_f1(by_kind["context_refinement"], 0.1)
-    sem100 = report.mean_f1(by_kind["semantic_loss"], 1.0)
-    ref100 = report.mean_f1(by_kind["context_refinement"], 1.0)
+    base10 = report.summary(by_kind["baseline"], 0.1)[1]
+    sem10 = report.summary(by_kind["semantic_loss"], 0.1)[1]
+    ref10 = report.summary(by_kind["context_refinement"], 0.1)[1]
+    sem100 = report.summary(by_kind["semantic_loss"], 1.0)[1]
+    ref100 = report.summary(by_kind["context_refinement"], 1.0)[1]
 
     print(f"\n  10%: baseline {base10:.4f}  semantic {sem10:.4f}  refinement {ref10:.4f}")
     print(f" 100%: semantic {sem100:.4f}  refinement {ref100:.4f}  ({elapsed:.0f}s)")
@@ -239,7 +239,7 @@ def test_criterion_6_reference_experiment_trends(tmp_path):
         if expected is None:
             committed_ok = False
             continue
-        observed = report.mean_f1(by_kind[kind], fraction)
+        observed = report.summary(by_kind[kind], fraction)[1]
         if abs(observed - expected) > 0.02:
             committed_ok = False
             print(f"  drift: {kind}@{fraction:g} observed {observed:.4f} "

@@ -125,6 +125,19 @@ def test_synth_skips_a_declared_value_aggregation_cannot_derive(tmp_path, dimens
     assert not any(extra in s.dimension_values(dimension) for s in states)
 
 
+@pytest.mark.parametrize("command", ["synth", "run"])
+def test_rules_the_generator_cannot_realize_are_a_config_error(tmp_path, capsys, command):
+    text = Path("configs/synthetic.rules").read_text()
+    rules = tmp_path / "mood.rules"
+    rules.write_text(text.replace("[rules]", "mood (exclusive): happy, sad\n\n[rules]"))
+    cfg = write_config(tmp_path, rules=str(rules))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "1 config problem(s)" in err
+    assert "rules: no realizable context state observes dimension 'mood'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_audit_zero_violation_is_fully_consistent(tmp_path, capsys):
     cfg = write_config(tmp_path, dataset={"synthetic": {
         "users": 2, "windows_per_user": 30, "violation_rate": 0.0, "seed": 3}})
@@ -294,6 +307,19 @@ def test_run_missing_rules_key_is_reported_once(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "1 config problem(s)" in err and err.count("rules:") == 1
+
+
+def test_run_names_a_user_whose_windows_differ_in_length(tmp_path, capsys):
+    assert main(["synth", "--config", str(QUICK), "--out", str(tmp_path / "ds")]) == 0
+    stream = tmp_path / "ds" / "phone_user01.csv"
+    stream.write_text(stream.read_text().replace("rate=25.0", "rate=50.0", 1))
+    cfg = write_config(tmp_path, dataset={"directory": str(tmp_path / "ds")})
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert ("dataset.directory: user user01's phone windows have shape (3, 200), "
+            "but user user00's have (3, 100)") in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_config_errors_listed_exhaustively(tmp_path, capsys):

@@ -332,17 +332,18 @@ def test_realizable_states_match_the_product_oracle(rules, disc):
 def toy_encoded(labels):
     labels = np.asarray(labels)
     n = labels.size
+    phone = np.zeros((n, 1, 4))
+    phone[:, 0, 0] = np.arange(n)  # each window's position, to tell windows apart
     return EncodedDataset(
-        phone=np.zeros((n, 1, 4)), watch=np.zeros((n, 1, 4)),
+        phone=phone, watch=np.zeros((n, 1, 4)),
         context=np.zeros((n, 2)), labels=labels,
-        users=tuple(f"u{i}" for i in range(n)),
         activities=("a", "b", "c"), vocabulary=None)
 
 
 @pytest.mark.parametrize("indices", [[], range(0), np.arange(0)], ids=["list", "range", "array"])
 def test_subset_of_no_indices_is_an_empty_dataset(indices):
     out = toy_encoded([0, 1, 2]).subset(indices)
-    assert len(out) == 0 and out.users == ()
+    assert len(out) == 0
     assert out.phone.shape == (0, 1, 4) and out.context.shape == (0, 2)
     assert out.labels.shape == (0,)
 
@@ -370,9 +371,9 @@ def test_downsample_deterministic_and_order_preserving():
     a = downsample_training(ds, 0.4, seed=9)
     b = downsample_training(ds, 0.4, seed=9)
     np.testing.assert_array_equal(a.labels, b.labels)
-    assert a.users == b.users
-    positions = [ds.users.index(u) for u in a.users]
-    assert positions == sorted(positions)
+    np.testing.assert_array_equal(a.phone, b.phone)
+    positions = a.phone[:, 0, 0]
+    assert (np.diff(positions) > 0).all()
 
 
 def test_downsample_rejects_bad_fraction():
@@ -502,7 +503,6 @@ def test_segment_and_encode_match_the_per_window_oracle(model, seed, keep_unlabe
         assert got.dtype == np.float64 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, np.stack(want), strict=True)
     assert encoded.labels.tolist() == [-1 if label is None else label for label, _ in samples]
-    assert encoded.users == (ds.user,) * len(expected)
 
 
 def test_segment_window_shorter_than_a_sample(model):

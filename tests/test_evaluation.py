@@ -157,9 +157,8 @@ def test_split_train_validation(tiny_model, tiny_net_spec):
 @pytest.fixture(scope="module")
 def encoded_by_user(tiny_model, tiny_net_spec):
     data = make_encoded(tiny_model, tiny_net_spec, 120, seed=11)
-    users = sorted(set(data.users))
-    return {u: data.subset([i for i, du in enumerate(data.users) if du == u])
-            for u in users}
+    # three users: window i belongs to user i % 3
+    return {f"u{u}": data.subset(np.arange(u, len(data), 3)) for u in range(3)}
 
 
 def test_run_experiment_grid_shape(tiny_model, tiny_net_spec, encoded_by_user):

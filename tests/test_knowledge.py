@@ -224,6 +224,19 @@ def test_query_counts_any_nonzero_entry_as_observed():
     assert not model.consistent_activities(rows).any()
 
 
+@pytest.mark.parametrize("activities, rules, message", [
+    (("a", "b", "a"), {}, "activity 'a' listed more than once"),
+    (("a",), {"a": (AnyOf((Literal(ContextPredicate("tags", "pet")),
+                           Literal(ContextPredicate("tags", "goat")))),)},
+     "rule literal tags=goat not in context vocabulary"),
+], ids=["duplicate_activity", "literal_outside_vocabulary"])
+def test_model_rejects_what_the_parser_rejects(activities, rules, message):
+    # the parser names the line first; a model built in Python names the symbol
+    with pytest.raises(ValueError) as exc:
+        KnowledgeModel(activities, VOCAB, rules)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Consistency reasoning on the shipped rule files
 # ---------------------------------------------------------------------------
