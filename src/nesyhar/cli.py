@@ -44,6 +44,12 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _existing_path(text: str) -> str:
+    if not os.path.exists(text):
+        raise argparse.ArgumentTypeError(f"no such file or directory: {text}")
+    return text
+
+
 def cmd_reason(args) -> int:
     from .knowledge import ContextState, load_knowledge
 
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reason", help="evaluate the rule engine on a context state")
-    p.add_argument("--rules", required=True, help="rule file path")
+    p.add_argument("--rules", required=True, type=_existing_path, help="rule file path")
     p.add_argument("state", nargs="*",
                    help="context predicates, e.g. location_type=outdoor speed=low")
     p.set_defaults(fn=cmd_reason)
@@ -236,16 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("classify", help="classify a dataset with a trained checkpoint")
-    p.add_argument("--model", required=True, help="checkpoint (.npz) path")
-    p.add_argument("--samples", required=True, help="dataset directory")
-    p.add_argument("--rules", help="rule file (required for reasoning checkpoints)")
+    p.add_argument("--model", required=True, type=_existing_path, help="checkpoint (.npz) path")
+    p.add_argument("--samples", required=True, type=_existing_path, help="dataset directory")
+    p.add_argument("--rules", type=_existing_path,
+                   help="rule file (required for reasoning checkpoints)")
     p.add_argument("--out", help="output JSON-lines path (default: stdout)")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("audit", help="check label/context consistency of a dataset")
-    p.add_argument("--dataset", required=True, help="dataset directory")
+    p.add_argument("--dataset", required=True, type=_existing_path, help="dataset directory")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--rules", help="rule file path (default windowing and thresholds)")
+    source.add_argument("--rules", type=_existing_path,
+                        help="rule file path (default windowing and thresholds)")
     source.add_argument("--config", help="experiment config (YAML): its rules, window_seconds "
                         "and discretization")
     p.add_argument("--window-seconds", type=_positive_float,

@@ -272,6 +272,10 @@ def encode_user_datasets(datasets: Sequence[UserDataset], model: KnowledgeModel,
 # Synthetic generation
 # ---------------------------------------------------------------------------
 
+# noise scales signatures of amplitude about 1; far above this it overflows the streams
+_MAX_NOISE = 1e6
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs of the synthetic dataset generator.
@@ -310,6 +314,8 @@ class SyntheticConfig:
             raise ValueError("unobserved_bias must be in (0, 1]")
         if not 0.0 <= self.noise < math.inf:
             raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.noise > _MAX_NOISE:
+            raise ValueError(f"noise must be at most {_MAX_NOISE:g}, got {self.noise}")
         if not (0.0 < self.phone_rate < math.inf and 0.0 < self.watch_rate < math.inf):
             raise ValueError("phone_rate and watch_rate must be positive and finite")
         if self.phone_channels < 1 or self.watch_channels < 1:

@@ -75,6 +75,9 @@ INFER_BLOCK = 128
 # The scratch memory keeps the array views of this many (spec, batch size)
 # pairs, the most recently used ones.
 _BUFFER_SETS = 16
+# Adam's decay rates and offset; gradcheck's step, windows and passing error
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+_FD_STEP, _CHECK_WINDOWS, _GRADCHECK_TOLERANCE = 1e-5, 2, 1e-4
 
 
 class NetworkSpecError(ValueError):
@@ -472,15 +475,16 @@ def _pool_relu_backward(block: _ConvBuffers, g: np.ndarray) -> None:
 
 
 def _global_pool_relu_forward(block: _ConvBuffers) -> np.ndarray:
-    """ReLU of each window's maximum output, shaped (filters, n)."""
-    return np.maximum.reduce(block.outputs, axis=2, initial=0.0)
+    """ReLU of each window's maximum output, shaped (filters, n), whose flat positions
+    go to block.winners (np.maximum(0.0, m) keeps the sign of a zero maximum m)."""
+    block.winners = block.slot_start + block.outputs.argmax(axis=2)
+    return np.maximum(0.0, block.y.reshape(-1)[block.winners])
 
 
 def _global_pool_relu_backward(block: _ConvBuffers, g: np.ndarray, pooled: np.ndarray) -> None:
-    """Put g (filters, n) at each window's maximum (lowest index on ties)."""
+    """Put g (filters, n) at the winners forward found (lowest index on ties)."""
     block.gy.fill(0.0)
-    winners = block.slot_start + block.outputs.argmax(axis=2)
-    block.gy.reshape(-1)[winners] = g * (pooled > 0.0)
+    block.gy.reshape(-1)[block.winners] = g * (pooled > 0.0)
 
 
 def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -510,7 +514,6 @@ class Trace:
     params: Mapping[str, np.ndarray]
     buffers: _Buffers
     generation: int
-    batch_size: int
     acts: dict
 
 
@@ -522,8 +525,7 @@ def _check_shape(name, array, expected):
 def _forward_block(plan: _Plan, params, phone, watch, context, infusion, rng,
                    train: bool) -> tuple[np.ndarray, Trace | None]:
     spec = plan.spec
-    n = phone.shape[0]
-    bufs = _SCRATCH.buffers(plan, n)
+    bufs = _SCRATCH.buffers(plan, phone.shape[0])
     acts: dict = {"context": context}
     parts = []
     for (name, convs), blocks, x in zip(plan.branches.items(), bufs.branches, (phone, watch)):
@@ -555,7 +557,7 @@ def _forward_block(plan: _Plan, params, phone, watch, context, infusion, rng,
     if not train:
         return probs, None
     return probs, Trace(plan=plan, params=params, buffers=bufs,
-                        generation=_SCRATCH.generation, batch_size=n, acts=acts)
+                        generation=_SCRATCH.generation, acts=acts)
 
 
 def forward(params: Mapping[str, np.ndarray], spec: NetworkSpec, phone: np.ndarray,
@@ -626,7 +628,7 @@ def backward(trace: Trace | None, grad_probs: np.ndarray,
     plan, params, acts = trace.plan, trace.params, trace.acts
     spec = plan.spec
     grad_probs = np.asarray(grad_probs, dtype=np.float64)
-    _check_shape("output gradient", grad_probs, (trace.batch_size, spec.classes))
+    _check_shape("output gradient", grad_probs, acts["probs"].shape)
 
     grads = Parameters(np.empty(plan.size), plan.layout)
     p = acts["probs"]
@@ -698,9 +700,8 @@ class AdamState:
         return cls(step=0, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adam_step(params: Parameters, grads: Parameters, state: AdamState, lr: float = 1e-3,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[Parameters, AdamState]:
+def adam_step(params: Parameters, grads: Parameters, state: AdamState,
+              lr: float = 1e-3) -> tuple[Parameters, AdamState]:
     """One Adam update, fused over the flat parameter vector; updates params
     and state in place and returns them.
 
@@ -716,17 +717,17 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState, lr: float
         raise FloatingPointError(f"non-finite gradient in {name!r}")
     t = state.step + 1
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    g2 = (1.0 - beta2) * g
+    m *= _BETA1
+    m += (1.0 - _BETA1) * g
+    v *= _BETA2
+    g2 = (1.0 - _BETA2) * g
     g2 *= g
     v += g2
-    update = m / (1.0 - beta1 ** t)
+    update = m / (1.0 - _BETA1 ** t)
     update *= lr
-    denom = np.divide(v, 1.0 - beta2 ** t, out=g2)
+    denom = np.divide(v, 1.0 - _BETA2 ** t, out=g2)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += _EPS
     update /= denom
     params.flat -= update
     state.step = t
@@ -737,20 +738,19 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState, lr: float
 # Finite-difference verification
 # ---------------------------------------------------------------------------
 
-def finite_difference_gradients(value_fn: Callable[[], float], flat: np.ndarray,
-                                h: float = 1e-5) -> np.ndarray:
+def finite_difference_gradients(value_fn: Callable[[], float], flat: np.ndarray) -> np.ndarray:
     """Central-difference gradient of value_fn with respect to every entry of
     the 1-d array flat, which is perturbed in place and which value_fn must
     read on each call."""
     grad = np.empty_like(flat)
     for i in range(flat.size):
         original = flat[i]
-        flat[i] = original + h
+        flat[i] = original + _FD_STEP
         plus = value_fn()
-        flat[i] = original - h
+        flat[i] = original - _FD_STEP
         minus = value_fn()
         flat[i] = original
-        grad[i] = (plus - minus) / (2.0 * h)
+        grad[i] = (plus - minus) / (2.0 * _FD_STEP)
     return grad
 
 
@@ -787,8 +787,9 @@ def random_small_spec(rng: np.random.Generator, infusion: bool | None = None) ->
     )
 
 
-def _random_inputs(spec: NetworkSpec, rng: np.random.Generator, n: int = 2) -> Parameters:
-    """Random network inputs for n windows, as one flat vector to perturb."""
+def _random_inputs(spec: NetworkSpec, rng: np.random.Generator) -> Parameters:
+    """Random network inputs for _CHECK_WINDOWS windows, as one flat vector to perturb."""
+    n = _CHECK_WINDOWS
     inputs = {"phone": rng.normal(size=(n, spec.phone.channels, spec.phone.length)),
               "watch": rng.normal(size=(n, spec.watch.channels, spec.watch.length)),
               "context": rng.integers(0, 2, size=(n, spec.context_size)).astype(np.float64)}
@@ -797,8 +798,8 @@ def _random_inputs(spec: NetworkSpec, rng: np.random.Generator, n: int = 2) -> P
     return Parameters.pack(inputs)
 
 
-def gradient_check_network(spec: NetworkSpec, seed: int, h: float = 1e-5,
-                           loss_cfg=None, dropout_seed: int | None = None) -> float:
+def gradient_check_network(spec: NetworkSpec, seed: int, loss_cfg=None,
+                           dropout_seed: int | None = None) -> float:
     """Max relative error between backprop and central differences for one spec.
 
     The scalar head is a fixed random linear functional of the output
@@ -845,17 +846,16 @@ def gradient_check_network(spec: NetworkSpec, seed: int, h: float = 1e-5,
             top2 = np.sort(probs, axis=1)[:, -2:]
             if (top2[:, 1] - top2[:, 0] < 1e-3).any():
                 # argmax too close to a tie for finite differences; perturb the seed
-                return gradient_check_network(spec, seed + 1000, h, loss_cfg, dropout_seed)
+                return gradient_check_network(spec, seed + 1000, loss_cfg, dropout_seed)
         _, grad_probs = combined_loss_batch(probs, labels, masks, loss_cfg)
     analytic, input_grads = backward(trace, grad_probs, want_input_grads=True)
     return max(
-        max_relative_error(analytic.flat, finite_difference_gradients(value, params.flat, h)),
+        max_relative_error(analytic.flat, finite_difference_gradients(value, params.flat)),
         max_relative_error(Parameters.pack(input_grads).flat,
-                           finite_difference_gradients(value, inputs.flat, h)))
+                           finite_difference_gradients(value, inputs.flat)))
 
 
-def run_gradient_check_suite(seed: int = 0, trials: int = 20,
-                             tolerance: float = 1e-4) -> dict:
+def run_gradient_check_suite(seed: int = 0, trials: int = 20) -> dict:
     """Finite-difference verification across random small specs and loss types.
 
     Returns a report dict with per-trial worst errors and the overall maximum.
@@ -886,5 +886,5 @@ def run_gradient_check_suite(seed: int = 0, trials: int = 20,
         results.append({"trial": trial, "head": label, "infusion": spec.infusion,
                         "dropout": spec.dropout, "max_rel_err": err})
     worst = max(r["max_rel_err"] for r in results)
-    return {"trials": results, "max_rel_err": worst, "tolerance": tolerance,
-            "passed": bool(worst < tolerance)}
+    return {"trials": results, "max_rel_err": worst, "tolerance": _GRADCHECK_TOLERANCE,
+            "passed": bool(worst < _GRADCHECK_TOLERANCE)}

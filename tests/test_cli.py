@@ -242,6 +242,26 @@ def test_audit_names_the_file_and_line_of_a_malformed_annotation(tmp_path, capsy
                                        "to float: 'x'\n")
 
 
+# a file that exists but is malformed is a runtime failure (above); a path
+# that does not exist is a usage error
+@pytest.mark.parametrize("argv, option", [
+    (["reason", "--rules", "{missing}", "speed=low"], "--rules"),
+    (["audit", "--dataset", "{missing}", "--rules", "configs/synthetic.rules"], "--dataset"),
+    (["audit", "--dataset", "{dir}", "--rules", "{missing}"], "--rules"),
+    (["classify", "--model", "{missing}", "--samples", "{missing}"], "--model"),
+    (["classify", "--model", "configs/quick.yaml", "--samples", "{missing}"], "--samples"),
+    (["classify", "--model", "configs/quick.yaml", "--samples", "{dir}", "--rules", "{missing}"],
+     "--rules"),
+], ids=["reason-rules", "audit-dataset", "audit-rules", "classify-model", "classify-samples",
+        "classify-rules"])
+def test_a_missing_input_path_exits_2_naming_the_option(tmp_path, capsys, argv, option):
+    missing = str(tmp_path / "nope")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(missing=missing, dir=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    assert f"argument {option}: no such file or directory: {missing}\n" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------

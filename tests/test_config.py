@@ -143,6 +143,9 @@ MALFORMED = [
      "dataset.synthetic: noise must be finite and >= 0, got -1.0"),
     ("synthetic_noise_nan", {"dataset.synthetic.noise": float("nan")},
      "dataset.synthetic: noise must be finite and >= 0, got nan"),
+    # noise this large used to overflow the rendered streams, and synth exited 1
+    ("synthetic_noise_huge", {"dataset.synthetic.noise": 1e308},
+     "dataset.synthetic: noise must be at most 1e+06, got 1e+308"),
     ("synthetic_phone_rate_zero", {"dataset.synthetic.phone_rate": 0.0},
      "dataset.synthetic: phone_rate and watch_rate must be positive and finite"),
     ("synthetic_phone_channels_zero", {"dataset.synthetic.phone_channels": 0},

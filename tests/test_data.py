@@ -1,16 +1,19 @@
 import itertools
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nesyhar.config import load_config, synthesize
 from nesyhar.context import DiscretizationConfig, RawContextRecord
 from nesyhar.data import (
     Annotation,
     EncodedDataset,
     SensorStream,
     SyntheticConfig,
+    UnrealizableRulesError,
     UserDataset,
     _realizable,
     downsample_training,
@@ -22,7 +25,8 @@ from nesyhar.data import (
     segment,
     write_dataset,
 )
-from nesyhar.knowledge import ContextState, load_knowledge, parse_knowledge
+from nesyhar.evaluation import ExperimentError
+from nesyhar.knowledge import AnyOf, ContextState, load_knowledge, parse_knowledge
 
 from conftest import consistent_names
 from knowledge_reference import decode_state
@@ -189,15 +193,15 @@ def test_generator_full_violation_matches_enumerated_expectation(model):
     assert abs(hits / total - expected) < 0.03
 
 
-def test_generator_unsatisfiable_activity_guard(model, monkeypatch):
-    # Open-world positive literals make genuinely unsatisfiable rules
-    # impossible via the rule language (the empty state satisfies anything),
-    # so the guard is exercised by forcing the consistency computation.
-    monkeypatch.setattr(type(model), "consistent_activities",
-                        lambda self, context: np.zeros((len(context), self.num_activities),
-                                                       dtype=bool))
-    with pytest.raises(ValueError, match="walking"):
-        generate_synthetic(model, small_cfg())
+def test_generator_unsatisfiable_activity_guard(model):
+    # No rule file can say it (the empty state satisfies every parsed rule),
+    # but a model built in Python can hold an empty OR, which no state satisfies.
+    unsatisfiable = replace(model, rules={**model.rules, "walking": (AnyOf(()),)})
+    with pytest.raises(UnrealizableRulesError,
+                       match="activity 'walking' has no realizable consistent context state"):
+        generate_synthetic(unsatisfiable, small_cfg())
+    with pytest.raises(ExperimentError, match="rules: activity 'walking'"):
+        synthesize(load_config("configs/quick.yaml"), unsatisfiable)
 
 
 GENERATOR_CASES = [

@@ -248,6 +248,18 @@ def test_global_maxpool_tie_and_remainder():
     assert np.flatnonzero(gx).tolist() == [0]
 
 
+def test_global_maxpool_keeps_the_sign_of_a_zero_maximum():
+    # the oracle is np.maximum.reduce(initial=0.0): a window whose maximum
+    # is -0.0 pools to -0.0; the winner is the lowest index of the maximum
+    plan = nn._plan(pass_through_spec(4, pool=2, blocks=1))
+    block = nn._Buffers(plan, 4, None).branches[0][0]
+    block.outputs[0] = [[-1.0, -0.0, -2.0, -0.0], [-3.0, -1.0, -2.0, -5.0],
+                        [1.0, -0.0, 3.0, 3.0], [0.0, -1.0, 0.0, -2.0]]
+    expected = np.maximum.reduce(block.outputs, axis=2, initial=0.0)
+    assert nn._global_pool_relu_forward(block).tobytes() == expected.tobytes()
+    assert (block.winners - block.slot_start).tolist() == [[1, 1, 2, 0]]
+
+
 def test_negative_pool_windows_pass_no_gradient():
     # every pooled value is zeroed by the ReLU, so no input position gets gradient
     gx = routed_input_gradient(pass_through_spec(5, pool=2, blocks=2), [-1, -2, -3, -1, 4])
