@@ -23,6 +23,7 @@ from nesyhar import (
 )
 from nesyhar.evaluation import split_train_validation
 from nesyhar.nn import BranchSpec, NetworkSpec
+from nesyhar.strategies import REASONING_KINDS
 
 model = load_knowledge("configs/synthetic.rules")
 disc = DiscretizationConfig()
@@ -54,7 +55,7 @@ strategies = [
 for strategy in strategies:
     trained = train(train_part, val_part, strategy, spec, seed=3,
                     knowledge=None if strategy.kind == "baseline" else model, cfg=cfg)
-    knowledge = model if strategy.needs_knowledge_for_inference else None
+    knowledge = model if strategy.kind in REASONING_KINDS else None
     preds, _, _ = predict_many(trained, test, knowledge)
     accuracy = float(np.mean(preds == test.labels))
     print(f"{strategy.label:<28} accuracy {accuracy:.3f} "

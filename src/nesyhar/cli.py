@@ -50,6 +50,36 @@ def _existing_path(text: str) -> str:
     return text
 
 
+def _existing_file(text: str) -> str:
+    if os.path.isdir(_existing_path(text)):
+        raise argparse.ArgumentTypeError(f"is a directory: {text}")
+    return text
+
+
+def _existing_directory(text: str) -> str:
+    if not os.path.isdir(_existing_path(text)):
+        raise argparse.ArgumentTypeError(f"not a directory: {text}")
+    return text
+
+
+def _output_directory(text: str) -> str:
+    from .config import file_in_the_way
+
+    blocker = file_in_the_way(Path(text))
+    if blocker is not None:
+        raise argparse.ArgumentTypeError(f"not a directory: {blocker}")
+    return text
+
+
+def _output_file(text: str) -> str:
+    parent = os.path.dirname(text) or "."
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"is a directory: {text}")
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no such directory: {parent}")
+    return text
+
+
 def cmd_reason(args) -> int:
     from .knowledge import ContextState, load_knowledge
 
@@ -67,7 +97,7 @@ def cmd_reason(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .config import ConfigError, load_config, synthesize
+    from .config import load_config, synthesize
     from .data import write_dataset
     from .evaluation import ExperimentError
     from .knowledge import load_knowledge
@@ -78,7 +108,7 @@ def cmd_synth(args) -> int:
     try:
         datasets = synthesize(cfg, load_knowledge(cfg.rules))
     except ExperimentError as exc:
-        raise ConfigError(exc.problems, args.config) from None
+        raise ExperimentError(exc.problems, args.config) from None
     out = Path(args.out) if args.out else cfg.output_dir / "dataset"
     write_dataset(datasets, out)
     windows = sum(len(ds.annotations) for ds in datasets)
@@ -87,7 +117,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .config import ConfigError, load_config, prepare_experiment
+    from .config import load_config, prepare_experiment
     from .evaluation import ExperimentError, format_report_table, run_experiment, write_report
 
     started = time.monotonic()
@@ -103,7 +133,7 @@ def cmd_run(args) -> int:
             cfg.seeds, spec, knowledge=model, train_cfg=cfg.training,
             fold_seed=cfg.fold_seed, alpha_grid=cfg.alpha_grid, workers=workers)
     except ExperimentError as exc:
-        raise ConfigError(exc.problems, args.config) from None
+        raise ExperimentError(exc.problems, args.config) from None
     paths = write_report(report, cfg.output_dir)
     print(format_report_table(report), end="")
     failed = [c for c in report.cells if c.error]
@@ -222,14 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reason", help="evaluate the rule engine on a context state")
-    p.add_argument("--rules", required=True, type=_existing_path, help="rule file path")
+    p.add_argument("--rules", required=True, type=_existing_file, help="rule file path")
     p.add_argument("state", nargs="*",
                    help="context predicates, e.g. location_type=outdoor speed=low")
     p.set_defaults(fn=cmd_reason)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     p.add_argument("--config", required=True, help="experiment config (YAML)")
-    p.add_argument("--out", help="output directory (default: <output_dir>/dataset)")
+    p.add_argument("--out", type=_output_directory,
+                   help="output directory (default: <output_dir>/dataset)")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("run", help="run the full experiment grid from a config")
@@ -242,17 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("classify", help="classify a dataset with a trained checkpoint")
-    p.add_argument("--model", required=True, type=_existing_path, help="checkpoint (.npz) path")
-    p.add_argument("--samples", required=True, type=_existing_path, help="dataset directory")
-    p.add_argument("--rules", type=_existing_path,
+    p.add_argument("--model", required=True, type=_existing_file, help="checkpoint (.npz) path")
+    p.add_argument("--samples", required=True, type=_existing_directory,
+                   help="dataset directory")
+    p.add_argument("--rules", type=_existing_file,
                    help="rule file (required for reasoning checkpoints)")
-    p.add_argument("--out", help="output JSON-lines path (default: stdout)")
+    p.add_argument("--out", type=_output_file, help="output JSON-lines path (default: stdout)")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("audit", help="check label/context consistency of a dataset")
-    p.add_argument("--dataset", required=True, type=_existing_path, help="dataset directory")
+    p.add_argument("--dataset", required=True, type=_existing_directory,
+                   help="dataset directory")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--rules", type=_existing_path,
+    source.add_argument("--rules", type=_existing_file,
                         help="rule file path (default windowing and thresholds)")
     source.add_argument("--config", help="experiment config (YAML): its rules, window_seconds "
                         "and discretization")
@@ -266,12 +299,12 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s",
                         stream=sys.stderr)
     args = build_parser().parse_args(argv)
-    from .config import ConfigError
+    from .evaluation import ExperimentError
     from .knowledge import RuleFileError
 
     try:
         return args.fn(args)
-    except (UsageError, ConfigError, RuleFileError) as exc:
+    except (UsageError, ExperimentError, RuleFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -8,6 +8,7 @@ folds, ``StrategyConfig`` for a strategy; ``prepare_experiment`` makes the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -23,14 +24,10 @@ from .nn import BranchSpec, NetworkSpec
 from .records import fits, from_mapping
 from .strategies import StrategyConfig, TrainConfig
 
-__all__ = ["ConfigError", "NetworkConfig", "ExperimentConfig", "load_config", "synthesize",
-           "prepare_experiment"]
+__all__ = ["NetworkConfig", "ExperimentConfig", "load_config", "synthesize",
+           "prepare_experiment", "file_in_the_way"]
 
 DEFAULT_ALPHA_GRID = tuple(range(1, 31))
-
-
-class ConfigError(ExperimentError):
-    """One or more problems in an experiment config file; message lists them all."""
 
 
 @dataclass(frozen=True)
@@ -102,6 +99,15 @@ def _path(raw: Any, key: str, errors: list[str]) -> Path | None:
     return None
 
 
+def file_in_the_way(directory: Path) -> Path | None:
+    """The file that keeps ``directory`` from being made: the nearest of it and
+    its parents that exists, when that is not a directory."""
+    for path in (directory, *directory.parents):
+        if path.exists():
+            return None if path.is_dir() else path
+    return None
+
+
 def _parse_strategies(raw: Any, errors: list[str]) -> list[StrategyConfig]:
     strategies: list[StrategyConfig] = []
     if not isinstance(raw, list) or not raw:
@@ -121,17 +127,17 @@ def _parse_strategies(raw: Any, errors: list[str]) -> list[StrategyConfig]:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Load and validate an experiment YAML file; raises ConfigError listing
-    every problem found."""
+    """Load and validate an experiment YAML file; raises an ExperimentError
+    listing every problem found."""
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise ConfigError(["config file not found"], str(path)) from None
+        raise ExperimentError(["config file not found"], str(path)) from None
     except yaml.YAMLError as exc:
-        raise ConfigError([f"not valid YAML: {exc}"], str(path)) from None
+        raise ExperimentError([f"not valid YAML: {exc}"], str(path)) from None
     if not isinstance(raw, Mapping):
-        raise ConfigError(["top level must be a mapping"], str(path))
+        raise ExperimentError(["top level must be a mapping"], str(path))
 
     errors: list[str] = []
     unknown = set(raw) - _TOP_LEVEL_KEYS
@@ -142,10 +148,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if rules is not None and not rules.is_file():
         errors.append(f"rules: file not found: {rules}")
     output_dir = _path(raw.get("output_dir"), "output_dir", errors)
+    if output_dir is not None and (blocker := file_in_the_way(output_dir)) is not None:
+        errors.append(f"output_dir: not a directory: {blocker}")
 
     window_seconds = raw.get("window_seconds", 4.0)
-    if not fits(window_seconds, float) or window_seconds <= 0:
-        errors.append("window_seconds: must be a positive number")
+    if not fits(window_seconds, float) or not 0 < window_seconds < math.inf:
+        errors.append("window_seconds: must be a positive, finite number")
         window_seconds = 4.0
 
     dataset = raw.get("dataset")
@@ -177,7 +185,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
                               raw.get("discretization", {}), errors)
 
     if errors:
-        raise ConfigError(errors, str(path))
+        raise ExperimentError(errors, str(path))
     return ExperimentConfig(
         rules=rules, output_dir=output_dir, strategies=strategies,
         fractions=[float(f) for f in fractions], repetitions=repetitions,

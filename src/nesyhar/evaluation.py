@@ -393,8 +393,8 @@ def run_experiment(encoded_by_user: Mapping[str, EncodedDataset],
                              fold_k, fold_seed)
     if problems:
         raise ExperimentError(problems)
-    if any(s.needs_knowledge_for_training or s.needs_knowledge_for_inference
-           for s in strategies) and knowledge is None:
+    # every kind but the baseline reads the rules, in training or at inference
+    if knowledge is None and any(s.kind != "baseline" for s in strategies):
         raise ValueError("knowledge model required by at least one strategy")
 
     plan = make_folds(sorted(encoded_by_user), fold_k, fold_seed)

@@ -79,22 +79,10 @@ class StrategyConfig:
             raise ValueError("semantic_type/alpha only apply to semantic_loss")
 
     @property
-    def needs_knowledge_for_training(self) -> bool:
-        return self.kind in ("semantic_loss", "symbolic_features")
-
-    @property
-    def needs_knowledge_for_inference(self) -> bool:
-        return self.kind in REASONING_KINDS
-
-    @property
     def searches_alpha(self) -> bool:
         """A semantic_loss strategy with alpha 0 takes its alpha from a grid
         search; it cannot train with alpha 0, which is plain cross-entropy."""
         return self.kind == "semantic_loss" and self.loss.alpha == 0.0
-
-    @property
-    def uses_infusion(self) -> bool:
-        return self.kind == "symbolic_features"
 
     @property
     def label(self) -> str:
@@ -106,7 +94,7 @@ class StrategyConfig:
     def training_signature(self) -> tuple:
         """Strategies with equal signatures train identical networks
         (baseline and context_refinement differ only at inference)."""
-        return (self.loss.semantic_type, self.loss.alpha, self.uses_infusion)
+        return (self.loss, self.kind == "symbolic_features")
 
 
 @dataclass(frozen=True)
@@ -176,31 +164,29 @@ class TrainedModel:
 
 
 def consistency_masks(knowledge: KnowledgeModel, dataset: EncodedDataset) -> np.ndarray:
-    """Per-sample binary consistency vectors: one reasoner query over the
-    dataset's encoded context rows."""
+    """Per-sample consistency vectors, an (n, k) bool matrix: one reasoner query
+    over the dataset's encoded context rows."""
     if knowledge.vocabulary != dataset.vocabulary:
         raise ValueError("dataset and knowledge model use different context vocabularies")
     if knowledge.activity_names != dataset.activities:
         raise ValueError("dataset and knowledge model list the activities in a different "
                          "order or set")
-    return knowledge.consistent_activities(dataset.context).astype(np.float64)
+    return knowledge.consistent_activities(dataset.context)
 
 
 def train(train_data: EncodedDataset, val_data: EncodedDataset, strategy: StrategyConfig,
           spec: NetworkSpec, seed: int, knowledge: KnowledgeModel | None = None,
-          cfg: TrainConfig = TrainConfig(), window_seconds: float | None = None,
-          discretization: DiscretizationConfig | None = None) -> TrainedModel:
+          cfg: TrainConfig = TrainConfig()) -> TrainedModel:
     """Train one strategy; returns the parameters of the best validation epoch.
 
     train_data/val_data are the caller's split (the evaluation harness uses
     90/10). Baseline and context_refinement train with cross-entropy only;
     semantic_loss adds the configured penalty; symbolic_features feeds the
-    consistency vector through the infusion input.
+    consistency vector through the infusion input. ``knowledge`` is required
+    exactly when one of these two reads the consistency masks.
     """
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("training and validation sets must be non-empty")
-    if strategy.needs_knowledge_for_training and knowledge is None:
-        raise ValueError(f"strategy {strategy.kind!r} needs a knowledge model for training")
 
     k = len(train_data.activities)
     counts = np.bincount(train_data.labels, minlength=k)
@@ -209,14 +195,14 @@ def train(train_data: EncodedDataset, val_data: EncodedDataset, strategy: Strate
         warnings.warn(f"training split has no samples for: {', '.join(missing)}",
                       stacklevel=2)
 
-    if strategy.uses_infusion:
-        spec = replace(spec, infusion=True)
-
-    needs_masks = strategy.uses_infusion or strategy.loss.needs_masks
+    spec = replace(spec, infusion=strategy.kind == "symbolic_features")
+    needs_masks = spec.infusion or strategy.loss.needs_masks
+    if needs_masks and knowledge is None:
+        raise ValueError(f"strategy {strategy.kind!r} needs a knowledge model for training")
     train_masks = consistency_masks(knowledge, train_data) if needs_masks else None
     val_masks = consistency_masks(knowledge, val_data) if needs_masks else None
-    train_infusion = train_masks if strategy.uses_infusion else None
-    val_infusion = val_masks if strategy.uses_infusion else None
+    train_infusion = train_masks if spec.infusion else None
+    val_infusion = val_masks if spec.infusion else None
 
     params = build_network(spec, seed)
     opt_state = AdamState.fresh(params)
@@ -261,9 +247,8 @@ def train(train_data: EncodedDataset, val_data: EncodedDataset, strategy: Strate
             break
 
     return TrainedModel(
-        kind=strategy.kind, spec=spec, params=best_params,
+        kind=strategy.kind, spec=spec, params=best_params, loss=strategy.loss,
         activities=train_data.activities, vocabulary=train_data.vocabulary,
-        loss=strategy.loss, window_seconds=window_seconds, discretization=discretization,
         meta={"epochs_run": epoch, "steps_run": steps, "best_epoch": best_epoch,
               "best_val_loss": stopper.best, "seed": seed},
     )
@@ -304,7 +289,7 @@ def predict_many(model: TrainedModel, data: EncodedDataset,
             raise ValueError(f"{model.kind!r} models need a knowledge model at inference")
         masks = consistency_masks(knowledge, data)
     probs, _ = forward(model.params, model.spec, data.phone, data.watch, data.context,
-                       infusion=masks if model.kind == "symbolic_features" else None,
+                       infusion=masks if model.spec.infusion else None,
                        mode="infer")
 
     if masks is None:

@@ -243,23 +243,59 @@ def test_audit_names_the_file_and_line_of_a_malformed_annotation(tmp_path, capsy
 
 
 # a file that exists but is malformed is a runtime failure (above); a path
-# that does not exist is a usage error
-@pytest.mark.parametrize("argv, option", [
-    (["reason", "--rules", "{missing}", "speed=low"], "--rules"),
-    (["audit", "--dataset", "{missing}", "--rules", "configs/synthetic.rules"], "--dataset"),
-    (["audit", "--dataset", "{dir}", "--rules", "{missing}"], "--rules"),
-    (["classify", "--model", "{missing}", "--samples", "{missing}"], "--model"),
-    (["classify", "--model", "configs/quick.yaml", "--samples", "{missing}"], "--samples"),
+# that does not exist, or is a directory where a file is read or the other
+# way round, is a usage error
+NO_SUCH = "no such file or directory: {missing}"
+
+
+@pytest.mark.parametrize("argv, option, message", [
+    (["reason", "--rules", "{missing}", "speed=low"], "--rules", NO_SUCH),
+    (["audit", "--dataset", "{missing}", "--rules", "configs/synthetic.rules"], "--dataset",
+     NO_SUCH),
+    (["audit", "--dataset", "{dir}", "--rules", "{missing}"], "--rules", NO_SUCH),
+    (["classify", "--model", "{missing}", "--samples", "{missing}"], "--model", NO_SUCH),
+    (["classify", "--model", "configs/quick.yaml", "--samples", "{missing}"], "--samples",
+     NO_SUCH),
     (["classify", "--model", "configs/quick.yaml", "--samples", "{dir}", "--rules", "{missing}"],
-     "--rules"),
+     "--rules", NO_SUCH),
+    (["reason", "--rules", "configs", "speed=low"], "--rules", "is a directory: configs"),
+    (["audit", "--dataset", "configs/quick.yaml", "--rules", "configs/synthetic.rules"],
+     "--dataset", "not a directory: configs/quick.yaml"),
+    (["audit", "--dataset", "{dir}", "--rules", "configs"], "--rules", "is a directory: configs"),
+    (["classify", "--model", "configs", "--samples", "configs/quick.yaml"], "--model",
+     "is a directory: configs"),
+    (["classify", "--model", "configs/quick.yaml", "--samples", "configs/quick.yaml"],
+     "--samples", "not a directory: configs/quick.yaml"),
+    (["classify", "--model", "configs/quick.yaml", "--samples", "{dir}", "--rules", "configs"],
+     "--rules", "is a directory: configs"),
 ], ids=["reason-rules", "audit-dataset", "audit-rules", "classify-model", "classify-samples",
-        "classify-rules"])
-def test_a_missing_input_path_exits_2_naming_the_option(tmp_path, capsys, argv, option):
+        "classify-rules", "reason-rules-directory", "audit-dataset-file", "audit-rules-directory",
+        "classify-model-directory", "classify-samples-file", "classify-rules-directory"])
+def test_a_missing_input_path_exits_2_naming_the_option(tmp_path, capsys, argv, option,
+                                                        message):
     missing = str(tmp_path / "nope")
     with pytest.raises(SystemExit) as exc:
         main([arg.format(missing=missing, dir=tmp_path) for arg in argv])
     assert exc.value.code == 2
-    assert f"argument {option}: no such file or directory: {missing}\n" in capsys.readouterr().err
+    expected = f"argument {option}: {message.format(missing=missing)}\n"
+    assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--config", "configs/quick.yaml", "--out", "configs/quick.yaml"],
+     "not a directory: configs/quick.yaml"),
+    (["synth", "--config", "configs/quick.yaml", "--out", "configs/quick.yaml/sub"],
+     "not a directory: configs/quick.yaml"),
+    (["classify", "--model", "configs/quick.yaml", "--samples", "{dir}", "--out", "{dir}"],
+     "is a directory: {dir}"),
+    (["classify", "--model", "configs/quick.yaml", "--samples", "{dir}",
+      "--out", "configs/quick.yaml/preds.jsonl"], "no such directory: configs/quick.yaml"),
+], ids=["synth-file", "synth-below-a-file", "classify-directory", "classify-below-a-file"])
+def test_an_out_path_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(dir=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    assert f"argument --out: {message.format(dir=tmp_path)}\n" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +413,7 @@ def test_gradcheck_zero_trials_usage_error(capsys):
 @pytest.fixture(scope="module")
 def synth_checkpoints(tmp_path_factory):
     """A tiny dataset directory plus trained checkpoints of two kinds."""
+    from dataclasses import replace
     from nesyhar.data import (SyntheticConfig, encode_user_datasets,
                               generate_synthetic, write_dataset)
     from nesyhar.evaluation import split_train_validation
@@ -401,12 +438,13 @@ def synth_checkpoints(tmp_path_factory):
         context_dense=4, trunk_dense=16, dropout=0.1)
     fast = TrainConfig(epochs=2, batch_size=16, patience=5)
     sem = train(train_part, val_part, StrategyConfig("semantic_loss", LossConfig("All", 1.0)),
-                spec, seed=1, knowledge=model, cfg=fast, window_seconds=4.0,
-                discretization=disc)
+                spec, seed=1, knowledge=model, cfg=fast)
     ref = train(train_part, val_part, StrategyConfig("context_refinement"), spec, seed=1,
-                cfg=fast, window_seconds=4.0, discretization=disc)
-    sem_path = save_model(sem, root / "sem.npz")
-    ref_path = save_model(ref, root / "ref.npz")
+                cfg=fast)
+    # a checkpoint carries the windowing that classify segments samples with
+    windowing = dict(window_seconds=4.0, discretization=disc)
+    sem_path = save_model(replace(sem, **windowing), root / "sem.npz")
+    ref_path = save_model(replace(ref, **windowing), root / "ref.npz")
     return root / "ds", sem_path, ref_path
 
 
@@ -440,6 +478,8 @@ def test_classify_refinement_with_rules(tmp_path, synth_checkpoints):
     for record in records:
         assert abs(sum(record["probs"]) - 1.0) < 1e-6
         assert "consistent" in record and "fallback" in record
+        # the vector is written as 1/0, not true/false
+        assert all(type(value) is int for value in record["consistent"])
         if not record["fallback"]:
             top = int(np.argmax(record["probs"]))
             assert record["consistent"][top] == 1

@@ -74,6 +74,16 @@ MALFORMED = [
      "strategies: baseline listed more than once"),
     ("fractions_repeated", {"fractions": [1.0, 1.0]}, "fractions: 1.0 listed more than once"),
     ("window_seconds_bool", {"window_seconds": True}, "window_seconds: must be a positive"),
+    # an infinite window used to reach int() in the generator, and run exited 1
+    ("window_seconds_inf", {"window_seconds": float("inf")},
+     "window_seconds: must be a positive"),
+    ("window_seconds_nan", {"window_seconds": float("nan")},
+     "window_seconds: must be a positive"),
+    # a file where the report directory goes used to fail only after training
+    ("output_dir_a_file", {"output_dir": "configs/quick.yaml"},
+     "output_dir: not a directory: configs/quick.yaml"),
+    ("output_dir_below_a_file", {"output_dir": "configs/quick.yaml/sub"},
+     "output_dir: not a directory: configs/quick.yaml"),
     # a path is a non-empty string: null used to name a file or directory 'None',
     # and "" the working directory
     ("output_dir_null", {"output_dir": None}, "output_dir: required, as a non-empty path"),

@@ -306,6 +306,32 @@ def test_run_experiment_rejects_repeated_strategies_and_fractions(
             seeds=[0], spec=tiny_net_spec, knowledge=tiny_model, train_cfg=FAST)
 
 
+@pytest.mark.parametrize("strategy", [
+    StrategyConfig("semantic_loss", LossConfig("All", 2.0)),
+    StrategyConfig("semantic_loss", LossConfig("All")),     # searches its alpha
+    StrategyConfig("symbolic_features"),
+    StrategyConfig("context_refinement"),
+], ids=["semantic_loss", "semantic_loss_search", "symbolic_features", "context_refinement"])
+def test_run_experiment_without_rules_stops_before_training(
+        tiny_net_spec, encoded_by_user, monkeypatch, strategy):
+    calls = []
+    monkeypatch.setattr(evaluation, "train", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="knowledge model required"):
+        run_experiment(
+            encoded_by_user, [StrategyConfig("baseline"), strategy], fractions=[1.0],
+            repetitions=1, fold_k=1, seeds=[0], spec=tiny_net_spec, train_cfg=FAST,
+            alpha_grid=(1,))
+    assert calls == []
+
+
+def test_a_baseline_grid_runs_without_rules(tiny_net_spec, encoded_by_user):
+    report = run_experiment(
+        encoded_by_user, [StrategyConfig("baseline")], fractions=[1.0], repetitions=1,
+        fold_k=1, seeds=[0], spec=tiny_net_spec, train_cfg=FAST)
+    assert len(report.cells) == 3
+    assert all(c.error is None for c in report.cells)
+
+
 SEARCHING = [{"kind": "baseline"}, {"kind": "semantic_loss", "semantic_type": "All"}]
 
 # One wording per grid check, from a config and from the API alike: each case

@@ -190,6 +190,36 @@ def test_training_needs_knowledge_for_nesy_strategies(tiny_net_spec, split):
         train(train_data, val_data, StrategyConfig("symbolic_features"), tiny_net_spec, seed=0)
 
 
+@pytest.mark.parametrize("strategy", [StrategyConfig("semantic_loss", LossConfig("All", 2.0)),
+                                      StrategyConfig("symbolic_features")],
+                         ids=["semantic_loss", "symbolic_features"])
+def test_train_without_rules_stops_where_it_would_read_masks(tiny_net_spec, split, strategy):
+    with pytest.raises(ValueError, match=f"strategy '{strategy.kind}' needs a knowledge "
+                                         "model for training"):
+        train(*split, strategy, tiny_net_spec, seed=0, cfg=FAST)
+
+
+@pytest.mark.parametrize("strategy", [StrategyConfig("context_refinement"),
+                                      StrategyConfig("semantic_loss", LossConfig("All", 0.0))],
+                         ids=["context_refinement", "semantic_loss_alpha_0"])
+def test_train_without_rules_when_no_mask_is_read_trains_the_baseline(tiny_net_spec, split,
+                                                                      strategy):
+    # alpha 0 is plain cross-entropy: the loss never reads the masks
+    base = train(*split, StrategyConfig("baseline"), tiny_net_spec, seed=3, cfg=FAST)
+    model = train(*split, strategy, tiny_net_spec, seed=3, cfg=FAST)
+    assert model.kind == strategy.kind
+    for name in base.params:
+        np.testing.assert_array_equal(model.params[name], base.params[name])
+
+
+def test_train_gives_the_infusion_input_to_symbolic_features_alone(tiny_net_spec, split):
+    # the strategy, not the spec it is handed, decides the infusion input
+    model = train(*split, StrategyConfig("baseline"), replace(tiny_net_spec, infusion=True),
+                  seed=3, cfg=FAST)
+    assert not model.spec.infusion
+    assert parameter_count(model.spec) == parameter_count(tiny_net_spec)
+
+
 def test_empty_class_warning(tiny_model, tiny_net_spec, split):
     train_data, val_data = split
     narrowed = train_data.subset(np.flatnonzero(train_data.labels != 2))
@@ -247,6 +277,22 @@ def test_predict_requires_knowledge_for_refinement(tiny_model, tiny_net_spec, sp
     model = trained("context_refinement", tiny_model, tiny_net_spec, split)
     with pytest.raises(ValueError, match="knowledge"):
         predict_many(model, split[1])
+
+
+@pytest.mark.parametrize("kind", ["baseline", "semantic_loss", "symbolic_features",
+                                  "context_refinement"])
+def test_only_the_reasoning_kinds_need_rules_at_inference(tiny_model, tiny_net_spec, split,
+                                                          kind):
+    loss = LossConfig("All", 2.0) if kind == "semantic_loss" else None
+    model = trained(kind, tiny_model, tiny_net_spec, split, loss=loss)
+    if kind in ("symbolic_features", "context_refinement"):
+        with pytest.raises(ValueError, match=f"'{kind}' models need a knowledge model "
+                                             "at inference"):
+            predict_many(model, split[1])
+    else:
+        preds, _, diags = predict_many(model, split[1])
+        assert len(preds) == len(split[1])
+        assert all(d == {} for d in diags)
 
 
 def test_semantic_loss_prediction_invokes_no_reasoning(tiny_model, tiny_net_spec,
@@ -374,9 +420,9 @@ def test_checkpoint_round_trip_value_exact(tiny_model, tiny_net_spec, split, tmp
     # symbolic_features round-trips a spec with the infusion input
     for strategy in (StrategyConfig("semantic_loss", LossConfig("0P", 4.0)),
                      StrategyConfig("symbolic_features")):
-        model = train(train_data, val_data, strategy, tiny_net_spec, seed=9,
-                      knowledge=tiny_model, cfg=FAST, window_seconds=4.0,
-                      discretization=DiscretizationConfig())
+        model = replace(train(train_data, val_data, strategy, tiny_net_spec, seed=9,
+                              knowledge=tiny_model, cfg=FAST),
+                        window_seconds=4.0, discretization=DiscretizationConfig())
         path = save_model(model, tmp_path / f"{strategy.kind}.npz")
         loaded = load_model(path)
         assert loaded.kind == model.kind
