@@ -97,7 +97,7 @@ def cmd_reason(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .config import load_config, synthesize
+    from .config import file_in_the_way, load_config, synthesize
     from .data import write_dataset
     from .evaluation import ExperimentError
     from .knowledge import load_knowledge
@@ -105,11 +105,13 @@ def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     if cfg.synthetic is None:
         raise UsageError(f"{args.config}: dataset.synthetic section required for synth")
+    out = Path(args.out) if args.out else cfg.output_dir / "dataset"
+    if (blocker := file_in_the_way(out)) is not None:  # the default too, before generating
+        raise UsageError(f"not a directory: {blocker}")
     try:
         datasets = synthesize(cfg, load_knowledge(cfg.rules))
     except ExperimentError as exc:
         raise ExperimentError(exc.problems, args.config) from None
-    out = Path(args.out) if args.out else cfg.output_dir / "dataset"
     write_dataset(datasets, out)
     windows = sum(len(ds.annotations) for ds in datasets)
     print(f"wrote {len(datasets)} users, {windows} windows to {out}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .knowledge import ContextPredicate, ContextState, ContextVocabulary
+from .records import bounded, check_bounds
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +91,7 @@ class DiscretizationConfig:
     """
 
     speed_thresholds: tuple[float, ...] = (0.1, 2.0, 7.0)
-    height_epsilon: float = 0.05
+    height_epsilon: float = bounded("positive and finite", default=0.05)
     place_map: Mapping[str, str] = field(default_factory=lambda: dict(_DEFAULT_PLACE_MAP))
     place_location: Mapping[str, str] = field(
         default_factory=lambda: dict(_DEFAULT_PLACE_LOCATION))
@@ -102,9 +103,7 @@ class DiscretizationConfig:
         if len(t) != 3 or not (0 < t[0] < t[1] < t[2] < math.inf):
             raise ValueError(f"speed thresholds must be finite, positive and strictly "
                              f"increasing, got {t}")
-        if not 0 < self.height_epsilon < math.inf:
-            raise ValueError(f"height_epsilon must be positive and finite, got "
-                             f"{self.height_epsilon}")
+        check_bounds(self)
         for name in ("place_map", "weather_map"):
             if bad := [key for key in getattr(self, name) if key != key.strip().lower()]:
                 raise ValueError(f"{name} keys must be lower-case with no outer spaces, "

@@ -52,6 +52,7 @@ from .context import (
     aggregate_context,
 )
 from .knowledge import ContextState, ContextVocabulary, KnowledgeModel
+from .records import bounded, check_bounds
 
 log = logging.getLogger(__name__)
 
@@ -197,7 +198,10 @@ def segment(ds: UserDataset, z: float, cfg: DiscretizationConfig,
     """
     if not 0 < z < math.inf:
         raise ValueError("window length must be positive and finite")
-    streams = [(s.values, int(round(z * s.rate))) for s in (ds.phone, ds.watch)]
+    # a window longer than its stream is never covered; capping its samples there
+    # keeps the reshape of no windows below within numpy's range at any z
+    streams = [(s.values, int(round(min(z * s.rate, s.values.shape[1] + 1))))
+               for s in (ds.phone, ds.watch)]
     count = int(max(ds.phone.duration, ds.watch.duration) // z)
     # the covered windows are a prefix; windows of 0 samples never run out of stream
     covered = min([count] + [v.shape[1] // n for v, n in streams if n])
@@ -274,6 +278,8 @@ def encode_user_datasets(datasets: Sequence[UserDataset], model: KnowledgeModel,
 
 # noise scales signatures of amplitude about 1; far above this it overflows the streams
 _MAX_NOISE = 1e6
+# stream values (float64) one generator call may return: 2 GiB
+_MAX_STREAM_VALUES = 2**28
 
 
 @dataclass(frozen=True)
@@ -288,38 +294,31 @@ class SyntheticConfig:
     violation branch always draws uniformly from the full state space.
     """
 
-    users: int
-    windows_per_user: int
-    violation_rate: float
-    noise: float = 1.0
-    seed: int = 0
-    window_seconds: float = 4.0
-    phone_channels: int = 3
-    watch_channels: int = 3
-    phone_rate: float = 25.0
-    watch_rate: float = 25.0
-    confusability: float = 0.7
-    unobserved_bias: float = 0.35
+    users: int = bounded(">= 1")
+    windows_per_user: int = bounded(">= 1")
+    violation_rate: float = bounded("in [0, 1]")
+    noise: float = bounded("finite and >= 0", default=1.0)
+    seed: int = bounded(">= 0", default=0)
+    window_seconds: float = bounded("positive and finite", default=4.0)
+    phone_channels: int = bounded(">= 1", default=3)
+    watch_channels: int = bounded(">= 1", default=3)
+    phone_rate: float = bounded("positive and finite", default=25.0)
+    watch_rate: float = bounded("positive and finite", default=25.0)
+    confusability: float = bounded("in [0, 1]", default=0.7)
+    unobserved_bias: float = bounded("in (0, 1]", default=0.35)
 
     def __post_init__(self):
-        if self.users < 1 or self.windows_per_user < 1:
-            raise ValueError("users and windows_per_user must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.violation_rate <= 1.0:
-            raise ValueError("violation_rate must be in [0, 1]")
-        if not 0.0 <= self.confusability <= 1.0:
-            raise ValueError("confusability must be in [0, 1]")
-        if not 0.0 < self.unobserved_bias <= 1.0:
-            raise ValueError("unobserved_bias must be in (0, 1]")
-        if not 0.0 <= self.noise < math.inf:
-            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        check_bounds(self)
         if self.noise > _MAX_NOISE:
             raise ValueError(f"noise must be at most {_MAX_NOISE:g}, got {self.noise}")
-        if not (0.0 < self.phone_rate < math.inf and 0.0 < self.watch_rate < math.inf):
-            raise ValueError("phone_rate and watch_rate must be positive and finite")
-        if self.phone_channels < 1 or self.watch_channels < 1:
-            raise ValueError("phone_channels and watch_channels must be >= 1")
+        # samples per window as segment() counts them, in floats: past range they are inf
+        values = self.users * self.windows_per_user * sum(
+            channels * round(self.window_seconds * rate, 0) for channels, rate in
+            ((self.phone_channels, self.phone_rate), (self.watch_channels, self.watch_rate)))
+        if values > _MAX_STREAM_VALUES:
+            raise ValueError(f"users, windows_per_user, window_seconds, the rates and the "
+                             f"channels ask for {values:g} stream values, more than the "
+                             f"generator's limit of {_MAX_STREAM_VALUES}")
 
 
 class UnrealizableRulesError(ValueError):

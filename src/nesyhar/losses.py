@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .records import bounded, check_bounds
+
 __all__ = [
     "PROB_FLOOR",
     "SEMANTIC_TYPES",
@@ -51,14 +53,13 @@ class LossConfig:
     """Which consistency penalty to add to cross-entropy, and with what weight."""
 
     semantic_type: str = "none"
-    alpha: float = 0.0
+    alpha: float = bounded("finite and >= 0", default=0.0)
 
     def __post_init__(self):
         if self.semantic_type not in SEMANTIC_TYPES:
             raise ValueError(f"semantic_type must be one of {SEMANTIC_TYPES}, "
                              f"got {self.semantic_type!r}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        check_bounds(self)
 
     @property
     def needs_masks(self) -> bool:

@@ -49,6 +49,8 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .records import bounded, check_bounds
+
 __all__ = [
     "BranchSpec",
     "NetworkSpec",
@@ -92,12 +94,12 @@ class ShapeError(ValueError):
 class BranchSpec:
     """One inertial branch: conv blocks, pooling, global max pool, dense head."""
 
-    channels: int
-    length: int
-    filters: tuple[int, ...]
-    kernels: tuple[int, ...]
-    pool: int
-    dense: int
+    channels: int = bounded(">= 1")
+    length: int = bounded(">= 1")
+    filters: tuple[int, ...] = bounded(">= 1")
+    kernels: tuple[int, ...] = bounded(">= 1")
+    pool: int = bounded(">= 1")
+    dense: int = bounded(">= 1")
 
     def stage_lengths(self, name: str) -> list[int]:
         """Sequence lengths after each conv (and the pool that follows it).
@@ -110,12 +112,7 @@ class BranchSpec:
                                    f"{len(self.kernels)} kernel sizes")
         if not self.filters:
             raise NetworkSpecError(f"{name}: at least one conv block required")
-        for key in ("channels", "length", "filters", "kernels", "dense"):
-            value = getattr(self, key)
-            if min(value if isinstance(value, tuple) else (value,)) < 1:
-                raise NetworkSpecError(f"{name}: {key} must be >= 1, got {value}")
-        if self.pool < 1:
-            raise NetworkSpecError(f"{name}: pool size must be >= 1")
+        check_bounds(self, f"{name}: ")
         lengths = []
         length = self.length
         for i, kernel in enumerate(self.kernels):
@@ -139,21 +136,15 @@ class NetworkSpec:
 
     phone: BranchSpec
     watch: BranchSpec
-    context_size: int
-    classes: int
-    context_dense: int = 8
-    trunk_dense: int = 256
-    dropout: float = 0.1
+    context_size: int = bounded(">= 1")
+    classes: int = bounded(">= 2")
+    context_dense: int = bounded(">= 1", default=8)
+    trunk_dense: int = bounded(">= 1", default=256)
+    dropout: float = bounded("in [0, 1)", default=0.1)
     infusion: bool = False
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise NetworkSpecError(f"need at least 2 classes, got {self.classes}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise NetworkSpecError(f"dropout rate must be in [0, 1), got {self.dropout}")
-        for key in ("context_size", "context_dense", "trunk_dense"):
-            if getattr(self, key) < 1:
-                raise NetworkSpecError(f"{key} must be >= 1, got {getattr(self, key)}")
+        check_bounds(self)
         self.phone.stage_lengths("phone")
         self.watch.stage_lengths("watch")
 

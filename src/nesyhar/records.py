@@ -1,16 +1,29 @@
-"""One reader for dataclass records given as plain data: YAML config sections
-and the JSON metadata of checkpoints."""
+"""One reader for dataclass records given as plain data (YAML config sections,
+the JSON metadata of checkpoints), and one check of the bounds fields declare."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 from collections.abc import Mapping
 from typing import Any
 
-__all__ = ["fits", "from_mapping"]
+__all__ = ["bounded", "check_bounds", "fits", "from_mapping"]
+
+# each bound, by the words its message uses, as a range test that NaN fails
+_BOUNDS = {
+    ">= 0": lambda v: 0 <= v,
+    ">= 1": lambda v: 1 <= v,
+    ">= 2": lambda v: 2 <= v,
+    "finite and >= 0": lambda v: 0 <= v < math.inf,
+    "positive and finite": lambda v: 0 < v < math.inf,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+}
 
 _SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 _hints = functools.cache(typing.get_type_hints)
@@ -21,6 +34,20 @@ def fits(value: Any, scalar: type) -> bool:
     if isinstance(value, bool) or scalar is bool:
         return scalar is bool and isinstance(value, bool)
     return isinstance(value, (int, float) if scalar is float else scalar)
+
+
+def bounded(bound: str, **field_kwargs: Any) -> Any:
+    """A dataclass field whose value, or each item of a tuple, is ``bound``."""
+    return dataclasses.field(metadata={"bound": bound}, **field_kwargs)
+
+
+def check_bounds(record: Any, where: str = "") -> None:
+    """Raise a ValueError, after ``where``, naming the first field outside its bound."""
+    for f in dataclasses.fields(record):
+        if (bound := f.metadata.get("bound")) is not None:
+            value = getattr(record, f.name)
+            if not all(map(_BOUNDS[bound], value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{where}{f.name} must be {bound}, got {value}")
 
 
 def _read(value: Any, hint: Any, path: str, complete: bool) -> Any:

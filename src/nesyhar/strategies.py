@@ -34,7 +34,7 @@ from .data import EncodedDataset
 from .knowledge import ContextVocabulary, KnowledgeModel
 from .losses import LossConfig, combined_loss_batch
 from .nn import AdamState, NetworkSpec, Parameters, adam_step, backward, build_network, forward
-from .records import from_mapping
+from .records import bounded, check_bounds, from_mapping
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -106,18 +106,13 @@ class TrainConfig:
     number and current parameters and must return a value to minimize.
     """
 
-    epochs: int = 200
-    batch_size: int = 32
-    patience: int = 5
-    learning_rate: float = 1e-3
+    epochs: int = bounded(">= 1", default=200)
+    batch_size: int = bounded(">= 1", default=32)
+    patience: int = bounded(">= 1", default=5)
+    learning_rate: float = bounded("positive and finite", default=1e-3)
     val_metric: Callable[[int, Parameters], float] | None = None
 
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
-            raise ValueError("epochs, batch_size and patience must be positive")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate}")
+    __post_init__ = check_bounds
 
 
 class EarlyStopping:

@@ -83,6 +83,16 @@ def test_synth_same_seed_byte_identical(tmp_path):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
 
+def test_synth_checks_its_default_output_directory_before_generating(tmp_path, capsys,
+                                                                    monkeypatch):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "dataset").write_text("")
+    monkeypatch.setattr("nesyhar.data.generate_synthetic", None)  # never reached
+    rc = main(["synth", "--config", str(write_config(tmp_path))])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: not a directory: {tmp_path}/out/dataset\n"
+
+
 def dataset_digest(directory):
     """One sha256 over the sorted file names, lengths and contents of a directory."""
     digest = hashlib.sha256()
@@ -224,6 +234,18 @@ def test_audit_window_shorter_than_a_sample(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out.endswith(
         "label consistent with context: 3998/3998 (100.0%)\n")
+
+
+def test_audit_window_longer_than_the_streams(tmp_path, capsys):
+    # a window longer than the streams covers none; 1e300 s used to exit 1 from numpy
+    cfg = write_config(tmp_path, dataset={"synthetic": {
+        "users": 2, "windows_per_user": 5, "violation_rate": 0.0, "seed": 3}})
+    main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")])
+    capsys.readouterr()
+    rc = main(["audit", "--dataset", str(tmp_path / "ds"), "--rules",
+               "configs/synthetic.rules", "--window-seconds", "1e300"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: dataset contains no labeled windows\n"
 
 
 def test_audit_names_the_file_and_line_of_a_malformed_annotation(tmp_path, capsys):

@@ -20,11 +20,12 @@ SMALL_NETWORK = NetworkConfig(
 
 
 def quick_with(tmp_path, **overrides):
-    """quick.yaml writing to tmp_path/out; a key "a.b" overrides a nested key."""
+    """quick.yaml writing to tmp_path/out; a key "a.b" overrides a nested key,
+    and "a.0" the first item of list a."""
     cfg = yaml.safe_load(QUICK.read_text())
     cfg["output_dir"] = str(tmp_path / "out")
     for dotted, value in overrides.items():
-        *parents, key = dotted.split(".")
+        *parents, key = (int(k) if k.isdigit() else k for k in dotted.split("."))
         section = cfg
         for parent in parents:
             section = section[parent]
@@ -95,7 +96,7 @@ MALFORMED = [
     ("dataset_directory_empty", {"dataset": {"directory": ""}},
      "dataset.directory: required, as a non-empty path"),
     # values only the generated data can refute
-    ("network_pool_zero", {"network.pool": 0}, "network: phone: pool size must be >= 1"),
+    ("network_pool_zero", {"network.pool": 0}, "network: phone: pool must be >= 1, got 0"),
     ("network_filters_not_a_list", {"network.phone_filters": 3},
      "network: phone_filters must be a list"),
     ("network_kernel_too_long", {"network.phone_kernels": [500, 5]},
@@ -157,9 +158,13 @@ MALFORMED = [
     ("synthetic_noise_huge", {"dataset.synthetic.noise": 1e308},
      "dataset.synthetic: noise must be at most 1e+06, got 1e+308"),
     ("synthetic_phone_rate_zero", {"dataset.synthetic.phone_rate": 0.0},
-     "dataset.synthetic: phone_rate and watch_rate must be positive and finite"),
+     "dataset.synthetic: phone_rate must be positive and finite, got 0.0"),
     ("synthetic_phone_channels_zero", {"dataset.synthetic.phone_channels": 0},
-     "dataset.synthetic: phone_channels and watch_channels must be >= 1"),
+     "dataset.synthetic: phone_channels must be >= 1, got 0"),
+    # a window this long used to exit 1 from numpy, naming no key
+    ("window_seconds_huge", {"window_seconds": 1e300},
+     "dataset.synthetic: users, windows_per_user, window_seconds, the rates and the "
+     "channels ask for 1.8e+304 stream values"),
 ]
 
 
@@ -171,6 +176,32 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, overrides, fr
     assert rc == 2, err
     assert "1 config problem(s)" in err and fragment in err
     assert not (tmp_path / "out").exists()
+
+
+def numeric_leaves(node, path=""):
+    """The dotted key path of each number, not a boolean, in a parsed YAML tree."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items
+                for leaf in numeric_leaves(value, f"{path}.{key}" if path else str(key))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+QUICK_LEAVES = numeric_leaves(yaml.safe_load(QUICK.read_text()))
+# a value that no numeric leaf takes, so no case trains
+NOT_NUMBERS = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "true": True,
+               "string": "x", "null": None, "list": [], "mapping": {}}
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+@pytest.mark.parametrize("leaf", QUICK_LEAVES)
+def test_a_non_number_at_any_numeric_leaf_exits_2_naming_its_key(tmp_path, capsys, leaf,
+                                                                 value):
+    # alpha NaN used to train plain cross-entropy and exit 0, alpha inf to exit 1
+    rc = main(["run", "--config", str(quick_with(tmp_path, **{leaf: value}))])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert [key for key in leaf.split(".") if not key.isdigit()][-1] in err
 
 
 def _expected(**fields):

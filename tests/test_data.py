@@ -1,5 +1,6 @@
 import itertools
 import logging
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -246,6 +247,17 @@ def test_generator_matches_the_per_window_oracle(rules, overrides):
             assert a.values.tobytes() == b.values.tobytes()  # bit for bit, signed zeros too
         assert g.context_records == w.context_records
         assert g.annotations == w.annotations
+
+
+def test_synthetic_config_bounds_the_stream_values_it_asks_for():
+    # 16 users x 1024 windows x 2 streams x 8 channels x 1024 samples is the limit, 2**28
+    at_limit = dict(users=16, windows_per_user=1024, violation_rate=0.0, phone_channels=8,
+                    watch_channels=8, window_seconds=1024.0, phone_rate=1.0, watch_rate=1.0)
+    SyntheticConfig(**at_limit)
+    for over, values in ((dict(windows_per_user=1025), "2.68698e+08"),
+                         (dict(window_seconds=1e300, phone_rate=1e10), "inf")):
+        with pytest.raises(ValueError, match=re.escape(f"ask for {values} stream values")):
+            SyntheticConfig(**{**at_limit, **over})
 
 
 def test_generator_peak_memory_stays_within_three_times_its_streams(model):
@@ -515,6 +527,12 @@ def test_segment_window_shorter_than_a_sample(model):
     assert len(windows) == 399
     assert windows.phone.shape == (399, 2, 0) and windows.watch.shape == (399, 1, 0)
     assert set(windows.labels) == {"walking"}
+
+
+# 80 samples a stream; at 1e308 s the samples a window needs overflow to inf
+@pytest.mark.parametrize("z", [8.5, 1e300, 1e308])
+def test_segment_window_longer_than_the_streams_gives_no_windows(model, z):
+    assert not segment(make_user(8.0), z, DISC, model.vocabulary, keep_unlabeled=True)
 
 
 @pytest.mark.parametrize("z", [0.0, -1.0, float("nan"), float("inf")])

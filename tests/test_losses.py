@@ -137,8 +137,9 @@ def test_combined_alpha_zero_is_cross_entropy():
 def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig("bogus", 1.0)
-    with pytest.raises(ValueError):
-        LossConfig("All", -0.5)
+    for alpha in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"alpha must be finite and >= 0, got {alpha}"):
+            LossConfig("All", alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,9 @@ def test_save_model_meta_is_the_written_out_record(tiny_model, tiny_net_spec, tm
                  id="exclusive-string"),
     pytest.param(lambda m: m["loss"].update(alpha="x"),
                  "loss.alpha must be a number, got 'x'", id="alpha-string"),
+    # json writes a NaN alpha as NaN, which used to load as plain cross-entropy
+    pytest.param(lambda m: m["loss"].update(alpha=float("nan")),
+                 "loss: alpha must be finite and >= 0, got nan", id="alpha-nan"),
     pytest.param(lambda m: m["discretization"].pop("height_epsilon"),
                  r"discretization: missing key\(s\) \['height_epsilon'\]",
                  id="missing-discretization-field"),
