@@ -260,13 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reason)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
-    p.add_argument("--config", required=True, help="experiment config (YAML)")
+    p.add_argument("--config", required=True, type=_existing_file,
+                   help="experiment config (YAML)")
     p.add_argument("--out", type=_output_directory,
                    help="output directory (default: <output_dir>/dataset)")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("run", help="run the full experiment grid from a config")
-    p.add_argument("--config", required=True, help="experiment config (YAML)")
+    p.add_argument("--config", required=True, type=_existing_file,
+                   help="experiment config (YAML)")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
@@ -289,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--rules", type=_existing_file,
                         help="rule file path (default windowing and thresholds)")
-    source.add_argument("--config", help="experiment config (YAML): its rules, window_seconds "
+    source.add_argument("--config", type=_existing_file,
+                        help="experiment config (YAML): its rules, window_seconds "
                         "and discretization")
     p.add_argument("--window-seconds", type=_positive_float,
                    help="window length with --rules (default 4.0)")

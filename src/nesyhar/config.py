@@ -40,9 +40,13 @@ class NetworkConfig:
     watch_kernels: tuple[int, ...] = (16, 8, 4)
     pool: int = 4
     branch_dense: int = 128
-    context_dense: int = 8
-    trunk_dense: int = 256
-    dropout: float = 0.1
+    context_dense: int = NetworkSpec.context_dense
+    trunk_dense: int = NetworkSpec.trunk_dense
+    dropout: float = NetworkSpec.dropout
+
+    def __post_init__(self):
+        # every check that needs no data: no layer geometry refutes these inputs
+        self.to_spec(1, 2**62, 1, 2**62, 1, 2)
 
     def to_spec(self, phone_channels: int, phone_length: int, watch_channels: int,
                 watch_length: int, context_size: int, classes: int) -> NetworkSpec:

@@ -337,25 +337,16 @@ _DIM_RE = re.compile(r"^(?P<name>\w+)\s*(?:\((?P<flag>exclusive|multi)\))?\s*:\s
 class _ExpressionParser:
     """Recursive-descent parser for requirement expressions (AND > OR)."""
 
-    _TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z0-9_]+)|(?P<op>[=()]))")
+    _TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z0-9_]+)|(?P<op>[=()])|(?P<stray>\S)")
 
     def __init__(self, text: str, source: str, line: int, offset: int):
         self.source = source
         self.line = line
         self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = self._TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stray = text[pos:].lstrip()
-                if not stray:
-                    break
-                col = offset + len(text) - len(stray) + 1
-                raise RuleFileError(f"unexpected character {stray[0]!r}",
-                                    source=source, line=line, column=col)
-            col = offset + m.start(m.lastgroup) + 1
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup), col))
-            pos = m.end()
+        for m in self._TOKEN_RE.finditer(text):
+            if m.lastgroup == "stray":
+                self._error(f"unexpected character {m.group()!r}", offset + m.start() + 1)
+            self.tokens.append((m.lastgroup, m.group(), offset + m.start() + 1))
         self.pos = 0
 
     def _peek(self):
@@ -372,18 +363,18 @@ class _ExpressionParser:
         return expr
 
     def _parse_or(self) -> Requirement:
-        terms = [self._parse_and()]
-        while self._peek()[:2] == ("ident", "OR"):
-            self.pos += 1
-            terms.append(self._parse_and())
-        return terms[0] if len(terms) == 1 else AnyOf(tuple(terms))
+        return self._parse_chain("OR", AnyOf, self._parse_and)
 
     def _parse_and(self) -> Requirement:
-        factors = [self._parse_atom()]
-        while self._peek()[:2] == ("ident", "AND"):
+        return self._parse_chain("AND", AllOf, self._parse_atom)
+
+    def _parse_chain(self, word: str, node: type, operand) -> Requirement:
+        """operand (word operand)*: one operand alone, or a ``node`` of them all."""
+        terms = [operand()]
+        while self._peek()[:2] == ("ident", word):
             self.pos += 1
-            factors.append(self._parse_atom())
-        return factors[0] if len(factors) == 1 else AllOf(tuple(factors))
+            terms.append(operand())
+        return terms[0] if len(terms) == 1 else node(tuple(terms))
 
     def _parse_atom(self) -> Requirement:
         kind, text, col = self._peek()
@@ -412,93 +403,83 @@ class _ExpressionParser:
 
 def parse_knowledge(text: str, source: str = "<rules>") -> KnowledgeModel:
     """Parse rule-file text into a validated :class:`KnowledgeModel`."""
-    activity_names: list[str] = []
-    activity_lines: dict[str, int] = {}
+    declared: dict[tuple[str, str], int] = {}  # (kind, name) -> line of its declaration
     dims: list[ContextDimension] = []
-    dim_lines: dict[str, int] = {}
     rule_entries: list[tuple[str, Requirement, int]] = []
     section = None
 
+    def error(message: str) -> RuleFileError:  # at lineno: the line read, or the rule's line
+        return RuleFileError(message, source=source, line=lineno)
+
+    def declare(kind: str, name: str) -> None:
+        if (kind, name) in declared:
+            raise error(f"duplicate {kind} {name!r} (first declared on line "
+                        f"{declared[kind, name]})")
+        declared[kind, name] = lineno
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
         stripped = line.strip()
+        if not stripped:
+            continue
         m = _SECTION_RE.match(stripped)
         if m:
-            name = m.group(1)
-            if name not in ("activities", "contexts", "rules"):
-                raise RuleFileError(f"unknown section [{name}]", source=source, line=lineno)
-            section = name
+            section = m.group(1)
+            if section not in ("activities", "contexts", "rules"):
+                raise error(f"unknown section [{section}]")
             continue
         if section is None:
-            raise RuleFileError("content before any [section] header", source=source, line=lineno)
+            raise error("content before any [section] header")
 
         if section == "activities":
             if not _IDENT.fullmatch(stripped):
-                raise RuleFileError(f"invalid activity name {stripped!r}",
-                                    source=source, line=lineno)
-            if stripped in activity_lines:
-                raise RuleFileError(
-                    f"duplicate activity {stripped!r} (first declared on line "
-                    f"{activity_lines[stripped]})", source=source, line=lineno)
-            activity_lines[stripped] = lineno
-            activity_names.append(stripped)
+                raise error(f"invalid activity name {stripped!r}")
+            declare("activity", stripped)
 
         elif section == "contexts":
             m = _DIM_RE.match(stripped)
             if m is None:
-                raise RuleFileError("expected 'name (exclusive|multi): value, value, ...'",
-                                    source=source, line=lineno)
+                raise error("expected 'name (exclusive|multi): value, value, ...'")
             name = m.group("name")
-            if name in dim_lines:
-                raise RuleFileError(
-                    f"duplicate context dimension {name!r} (first declared on line "
-                    f"{dim_lines[name]})", source=source, line=lineno)
+            declare("context dimension", name)
             values = [v.strip() for v in m.group("values").split(",")]
             for v in values:
                 if not _IDENT.fullmatch(v):
-                    raise RuleFileError(f"invalid value {v!r} in dimension {name!r}",
-                                        source=source, line=lineno)
+                    raise error(f"invalid value {v!r} in dimension {name!r}")
             if len(set(values)) != len(values):
-                raise RuleFileError(f"duplicate value in dimension {name!r}",
-                                    source=source, line=lineno)
-            dim_lines[name] = lineno
+                raise error(f"duplicate value in dimension {name!r}")
             dims.append(ContextDimension(name, tuple(values),
                                          exclusive=m.group("flag") != "multi"))
 
         else:  # rules
             head, sep, expr_text = line.partition(":")
             if not sep:
-                raise RuleFileError("expected 'activity: expression'", source=source, line=lineno)
+                raise error("expected 'activity: expression'")
             activity = head.strip()
             if not _IDENT.fullmatch(activity):
-                raise RuleFileError(f"invalid activity name {activity!r}",
-                                    source=source, line=lineno)
+                raise error(f"invalid activity name {activity!r}")
             parser = _ExpressionParser(expr_text, source, lineno, offset=len(head) + 1)
             if not parser.tokens:
-                raise RuleFileError("empty rule expression", source=source, line=lineno)
+                raise error("empty rule expression")
             rule_entries.append((activity, parser.parse(), lineno))
 
+    activity_names = tuple(name for kind, name in declared if kind == "activity")
     if not activity_names:
         raise RuleFileError("no [activities] declared", source=source)
 
     vocab = ContextVocabulary(tuple(dims))
     rules: dict[str, list[Requirement]] = {}
     for activity, requirement, lineno in rule_entries:
-        if activity not in activity_lines:
-            raise RuleFileError(f"unknown activity {activity!r}", source=source, line=lineno)
+        if ("activity", activity) not in declared:
+            raise error(f"unknown activity {activity!r}")
         for literal in requirement.literals():
             if not vocab.has_dimension(literal.dimension):
-                raise RuleFileError(f"unknown context dimension {literal.dimension!r}",
-                                    source=source, line=lineno)
+                raise error(f"unknown context dimension {literal.dimension!r}")
             if literal not in vocab:
-                raise RuleFileError(f"unknown context predicate '{literal}'",
-                                    source=source, line=lineno)
+                raise error(f"unknown context predicate '{literal}'")
         rules.setdefault(activity, []).append(requirement)
 
-    return KnowledgeModel(tuple(activity_names), vocab,
-                          {k: tuple(v) for k, v in rules.items()})
+    return KnowledgeModel(activity_names, vocab, {k: tuple(v) for k, v in rules.items()})
 
 
 def load_knowledge(path: str | Path) -> KnowledgeModel:

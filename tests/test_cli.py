@@ -1,14 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nesyhar.cli import main
 from nesyhar.context import DiscretizationConfig
@@ -264,6 +269,63 @@ def test_audit_names_the_file_and_line_of_a_malformed_annotation(tmp_path, capsy
                                        "to float: 'x'\n")
 
 
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("small")
+    cfg = write_config(tmp_path, dataset={"synthetic": {
+        "users": 2, "windows_per_user": 5, "violation_rate": 0.05, "seed": 3}})
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+    return tmp_path / "ds"
+
+
+def damage(path, fault, draw):
+    """Apply one fault to one dataset file, drawing where it strikes."""
+    if fault == "delete":
+        path.unlink()
+        return
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    if fault == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif fault == "cut a line short":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))] + "\n"
+        text = "".join(lines)
+    elif fault == "repeat the column line":
+        text = "".join([*lines[:2], *lines[1:]])
+    elif fault == "non-numeric field":
+        i = draw(st.integers(2, len(lines) - 1))
+        fields = lines[i].rstrip("\n").split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = "x"
+        lines[i] = ",".join(fields) + "\n"
+        text = "".join(lines)
+    else:  # a rate= header of 0, nan or nothing
+        lines[0] = lines[0].rsplit("rate=", 1)[0] + "rate=" + fault.split("=")[1] + "\n"
+        text = "".join(lines)
+    path.write_text(text)
+
+
+EVERY_FILE_FAULTS = ["truncate", "cut a line short", "repeat the column line",
+                     "non-numeric field"]
+STREAM_FAULTS = ["rate=0", "rate=nan", "rate=", "delete"]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_audit_of_a_damaged_dataset_file_exits_0_or_2_or_names_the_file(small_dataset, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = shutil.copytree(small_dataset, Path(tmp) / "ds")
+        fault = data.draw(st.sampled_from(EVERY_FILE_FAULTS + STREAM_FAULTS))
+        files = sorted(directory.glob("*_user*.csv" if fault in STREAM_FAULTS else "*.csv"))
+        path = data.draw(st.sampled_from(files))
+        damage(path, fault, data.draw)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["audit", "--dataset", str(directory), "--rules",
+                       "configs/synthetic.rules"])
+        assert rc in (0, 2) or (rc == 1 and str(path) in err.getvalue()), err.getvalue()
+
+
 # a file that exists but is malformed is a runtime failure (above); a path
 # that does not exist, or is a directory where a file is read or the other
 # way round, is a usage error
@@ -290,9 +352,18 @@ NO_SUCH = "no such file or directory: {missing}"
      "--samples", "not a directory: configs/quick.yaml"),
     (["classify", "--model", "configs/quick.yaml", "--samples", "{dir}", "--rules", "configs"],
      "--rules", "is a directory: configs"),
+    (["run", "--config", "{missing}"], "--config", NO_SUCH),
+    (["synth", "--config", "{missing}"], "--config", NO_SUCH),
+    (["audit", "--dataset", "{dir}", "--config", "{missing}"], "--config", NO_SUCH),
+    (["run", "--config", "configs"], "--config", "is a directory: configs"),
+    (["synth", "--config", "configs"], "--config", "is a directory: configs"),
+    (["audit", "--dataset", "{dir}", "--config", "configs"], "--config",
+     "is a directory: configs"),
 ], ids=["reason-rules", "audit-dataset", "audit-rules", "classify-model", "classify-samples",
         "classify-rules", "reason-rules-directory", "audit-dataset-file", "audit-rules-directory",
-        "classify-model-directory", "classify-samples-file", "classify-rules-directory"])
+        "classify-model-directory", "classify-samples-file", "classify-rules-directory",
+        "run-config", "synth-config", "audit-config", "run-config-directory",
+        "synth-config-directory", "audit-config-directory"])
 def test_a_missing_input_path_exits_2_naming_the_option(tmp_path, capsys, argv, option,
                                                         message):
     missing = str(tmp_path / "nope")

@@ -95,10 +95,11 @@ MALFORMED = [
      "dataset.directory: required, as a non-empty path"),
     ("dataset_directory_empty", {"dataset": {"directory": ""}},
      "dataset.directory: required, as a non-empty path"),
-    # values only the generated data can refute
+    # network values that need no data are checked with the rest of the config
     ("network_pool_zero", {"network.pool": 0}, "network: phone: pool must be >= 1, got 0"),
     ("network_filters_not_a_list", {"network.phone_filters": 3},
      "network: phone_filters must be a list"),
+    # values only the generated data can refute
     ("network_kernel_too_long", {"network.phone_kernels": [500, 5]},
      "network: phone conv0 (kernel 500): input length 100 too short"),
     ("fold_k_above_users", {"fold_k": 4},
@@ -176,6 +177,22 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, overrides, fr
     assert rc == 2, err
     assert "1 config problem(s)" in err and fragment in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, count", [
+    ({"network.dropout": float("nan")}, 1),
+    ({"network.dropout": float("nan"), "repetitions": 0}, 2),
+], ids=["alone", "with_repetitions"])
+def test_network_problems_are_listed_before_any_data_is_made(tmp_path, capsys, monkeypatch,
+                                                              overrides, count):
+    # dropout NaN used to be reported only after the data was generated, and
+    # then alone
+    monkeypatch.setattr("nesyhar.data.generate_synthetic", None)  # never reached
+    rc = main(["run", "--config", str(quick_with(tmp_path, **overrides))])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"{count} config problem(s)" in err
+    assert "network: dropout must be in [0, 1), got nan" in err
 
 
 def numeric_leaves(node, path=""):

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +84,110 @@ def test_parse_error_reports_line_and_column():
         parse_knowledge(text)
     assert exc.value.line == 12
     assert "line 12" in str(exc.value)
+
+
+def with_rule(line):
+    """MINI_RULES with one more rule line, which is line 12."""
+    return MINI_RULES + line + "\n"
+
+
+# one row per raise site of the reader: the whole message, its line and its
+# column (the column counts characters of the raw line, from 1)
+RULE_FILE_ERRORS = [
+    ("unexpected_character", with_rule("walking: location_type=indoor & x"),
+     "<rules>, line 12, column 31: unexpected character '&'", 12, 31),
+    ("unexpected_character_after_tabs", with_rule("walking:\tlocation_type=indoor\tOR\t(é"),
+     "<rules>, line 12, column 35: unexpected character 'é'", 12, 35),
+    ("token_after_expression", with_rule("walking: location_type=indoor location_type=outdoor"),
+     "<rules>, line 12, column 31: unexpected token 'location_type' after expression", 12, 31),
+    ("close_paren_mid_line",
+     with_rule("walking: (location_type=indoor location_type=outdoor)"),
+     "<rules>, line 12, column 32: expected ')'", 12, 32),
+    ("close_paren_at_end", with_rule("walking: (location_type=indoor"),
+     "<rules>, line 12: expected ')'", 12, None),
+    ("equals", with_rule("walking: location_type indoor"),
+     "<rules>, line 12, column 24: expected '=' after 'location_type'", 12, 24),
+    ("equals_at_end", with_rule("walking: location_type"),
+     "<rules>, line 12, column 10: expected '=' after 'location_type'", 12, 10),
+    ("value", with_rule("walking: location_type=)"),
+     "<rules>, line 12, column 24: expected a value after location_type=", 12, 24),
+    ("value_at_end", with_rule("walking: location_type="),
+     "<rules>, line 12, column 10: expected a value after location_type=", 12, 10),
+    ("literal", with_rule("walking: AND location_type=indoor"),
+     "<rules>, line 12, column 10: expected a dimension=value literal or '('", 12, 10),
+    ("literal_at_end", with_rule("walking: location_type=indoor OR"),
+     "<rules>, line 12: expected a dimension=value literal or '('", 12, None),
+    ("unknown_section", "[activities]\nwalking\n[weather]\n",
+     "<rules>, line 3: unknown section [weather]", 3, None),
+    ("content_before_section", "walking\n[activities]\n",
+     "<rules>, line 1: content before any [section] header", 1, None),
+    ("activity_name", "[activities]\nwalk ing\n",
+     "<rules>, line 2: invalid activity name 'walk ing'", 2, None),
+    ("rule_activity_name", with_rule("walk-ing: location_type=indoor"),
+     "<rules>, line 12: invalid activity name 'walk-ing'", 12, None),
+    ("duplicate_activity", "[activities]\nwalking\nsitting\nwalking\n",
+     "<rules>, line 4: duplicate activity 'walking' (first declared on line 2)", 4, None),
+    ("duplicate_dimension", "[activities]\nwalking\n[contexts]\nd: x, y\ne: x\nd (multi): z\n",
+     "<rules>, line 6: duplicate context dimension 'd' (first declared on line 4)", 6, None),
+    ("dimension_format", "[activities]\nwalking\n[contexts]\nd x, y\n",
+     "<rules>, line 4: expected 'name (exclusive|multi): value, value, ...'", 4, None),
+    ("dimension_value", "[activities]\nwalking\n[contexts]\nd: x, y z\n",
+     "<rules>, line 4: invalid value 'y z' in dimension 'd'", 4, None),
+    ("duplicate_value", "[activities]\nwalking\n[contexts]\nd: x, y, x\n",
+     "<rules>, line 4: duplicate value in dimension 'd'", 4, None),
+    ("rule_format", with_rule("walking location_type=indoor"),
+     "<rules>, line 12: expected 'activity: expression'", 12, None),
+    ("empty_rule", with_rule("walking:   # nothing"),
+     "<rules>, line 12: empty rule expression", 12, None),
+    ("no_activities", "[contexts]\nd: x\n", "<rules>: no [activities] declared", None, None),
+    ("unknown_activity", with_rule("swimming: location_type=outdoor"),
+     "<rules>, line 12: unknown activity 'swimming'", 12, None),
+    ("unknown_dimension", with_rule("walking: weather=snowy"),
+     "<rules>, line 12: unknown context dimension 'weather'", 12, None),
+    ("unknown_predicate", with_rule("walking: location_type=underwater"),
+     "<rules>, line 12: unknown context predicate 'location_type=underwater'", 12, None),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", [row[1:] for row in RULE_FILE_ERRORS],
+                         ids=[row[0] for row in RULE_FILE_ERRORS])
+def test_each_rule_file_error_names_its_line_and_column(text, message, line, column):
+    with pytest.raises(RuleFileError) as exc:
+        parse_knowledge(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (message, line, column)
+
+
+RULE_TEXTS = [path.read_text() for path in sorted(Path(RULES_DIR).glob("*.rules"))]
+FRAGMENTS = (st.text(alphabet="az09_ \t=():,#[]&-é\n", max_size=6)
+             | st.sampled_from(["AND", "OR", " AND (", ") OR ", "speed", "[rules]",
+                                "[contexts]", "[activities]", "(multi)"]))
+
+
+@st.composite
+def mutated_rule_files(draw):
+    """A committed rule file after 1-4 edits: text inserted into a line, text
+    cut from one, or a line repeated elsewhere."""
+    lines = draw(st.sampled_from(RULE_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        edit = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        if edit == "insert":
+            lines[i] = lines[i][:j] + draw(FRAGMENTS) + lines[i][j:]
+        elif edit == "delete":
+            lines[i] = lines[i][:j] + lines[i][j + draw(st.integers(1, 12)):]
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    return "\n".join(lines)
+
+
+@given(mutated_rule_files())
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_rule_file_loads_or_names_its_line(text):
+    try:
+        parse_knowledge(text)
+    except RuleFileError as exc:
+        assert exc.line is not None or str(exc) == "<rules>: no [activities] declared"
 
 
 def test_unknown_section_rejected():
